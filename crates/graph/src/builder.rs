@@ -1,10 +1,20 @@
-use crate::{Graph, GraphError, VertexId};
+use crate::{CompactId, Graph, GraphError, VertexId};
 
 /// Incremental builder for [`Graph`].
 ///
-/// The builder accepts undirected edges in any order, silently ignores
-/// duplicates, rejects self-loops and out-of-range endpoints, and produces a
-/// CSR [`Graph`] with sorted adjacency lists on [`GraphBuilder::build`].
+/// The builder accepts undirected edges in any order, rejects self-loops and
+/// out-of-range endpoints, and produces a CSR [`Graph`] with sorted adjacency
+/// lists on [`GraphBuilder::build`].
+///
+/// Edges are kept in one flat buffer of `(u32, u32)` pairs, 8 bytes per
+/// edge, exactly as they were added: duplicates and both orientations of an
+/// edge are stored as given and collapsed only at [`GraphBuilder::build`].
+/// `build` is a counting sort: it counts degrees into the CSR offsets,
+/// scatters both arcs of every edge into one compact adjacency array, then
+/// sorts and deduplicates each vertex's slice in place. A slice that is
+/// already strictly increasing skips the sort. That is the common case for
+/// generators that emit edges row by row (as [`crate::generators::gnp`]
+/// does), so their graphs are assembled in `O(n + m)`.
 ///
 /// # Example
 ///
@@ -14,14 +24,15 @@ use crate::{Graph, GraphError, VertexId};
 /// let mut b = GraphBuilder::new(3);
 /// b.add_edge(0, 1);
 /// b.add_edge(1, 2);
-/// b.add_edge(2, 1); // duplicate of (1, 2); ignored
+/// b.add_edge(2, 1); // duplicate of (1, 2); collapsed by build()
 /// let g = b.build();
 /// assert_eq!(g.m(), 2);
 /// ```
 #[derive(Debug, Clone)]
 pub struct GraphBuilder {
     n: usize,
-    adjacency: Vec<Vec<VertexId>>,
+    /// Validated edges in insertion order (both endpoints `< n`, no loops).
+    edges: Vec<(u32, u32)>,
 }
 
 impl GraphBuilder {
@@ -38,7 +49,7 @@ impl GraphBuilder {
         );
         GraphBuilder {
             n,
-            adjacency: vec![Vec::new(); n],
+            edges: Vec::new(),
         }
     }
 
@@ -80,33 +91,78 @@ impl GraphBuilder {
                 n: self.n,
             });
         }
-        self.adjacency[u].push(v);
-        self.adjacency[v].push(u);
+        // Both ids are < n <= u32::MAX (checked in `new`).
+        self.edges.push((u as u32, v as u32));
         Ok(())
+    }
+
+    /// Appends edges a generator has already validated (endpoints `< n`, no
+    /// self-loops), without re-checking each one.
+    pub(crate) fn extend_valid(&mut self, edges: Vec<(u32, u32)>) {
+        debug_assert!(edges
+            .iter()
+            .all(|&(u, v)| u != v && (u as usize) < self.n && (v as usize) < self.n));
+        if self.edges.is_empty() {
+            self.edges = edges;
+        } else {
+            self.edges.extend_from_slice(&edges);
+        }
     }
 
     /// Finalizes the builder into an immutable CSR [`Graph`].
     ///
     /// Duplicate edges are collapsed here (adjacency lists are sorted and
     /// deduplicated), so calling `add_edge(u, v)` twice yields a single edge.
-    pub fn build(mut self) -> Graph {
-        let mut m = 0usize;
-        for list in &mut self.adjacency {
-            list.sort_unstable();
-            list.dedup();
-            m += list.len();
+    pub fn build(self) -> Graph {
+        let n = self.n;
+        // Counting sort: degrees into offsets[u + 1], prefix sums, then
+        // scatter both arcs of every edge in insertion order.
+        let mut offsets = vec![0usize; n + 1];
+        for &(u, v) in &self.edges {
+            offsets[u as usize + 1] += 1;
+            offsets[v as usize + 1] += 1;
         }
-        debug_assert!(m % 2 == 0, "every undirected edge must appear twice");
-        let m = m / 2;
+        for u in 0..n {
+            offsets[u + 1] += offsets[u];
+        }
+        let mut cursor = offsets[..n].to_vec();
+        let mut adjacency = vec![CompactId(0); offsets[n]];
+        for &(u, v) in &self.edges {
+            adjacency[cursor[u as usize]] = CompactId(v);
+            cursor[u as usize] += 1;
+            adjacency[cursor[v as usize]] = CompactId(u);
+            cursor[v as usize] += 1;
+        }
 
-        let mut offsets = Vec::with_capacity(self.n + 1);
-        let mut adjacency = Vec::with_capacity(2 * m);
-        offsets.push(0);
-        for list in &self.adjacency {
-            adjacency.extend_from_slice(list);
-            offsets.push(adjacency.len());
+        // Sort (unless already strictly increasing) and deduplicate each
+        // slice, compacting the array towards the front as we go.
+        let mut write = 0;
+        for u in 0..n {
+            let (start, end) = (offsets[u], offsets[u + 1]);
+            offsets[u] = write;
+            let list = &mut adjacency[start..end];
+            if list.windows(2).all(|w| w[0] < w[1]) {
+                if write != start {
+                    adjacency.copy_within(start..end, write);
+                }
+                write += end - start;
+                continue;
+            }
+            list.sort_unstable();
+            let mut last = None;
+            for i in start..end {
+                let id = adjacency[i];
+                if last != Some(id) {
+                    adjacency[write] = id;
+                    write += 1;
+                    last = Some(id);
+                }
+            }
         }
-        Graph::from_sorted_adjacency(offsets, adjacency, m)
+        offsets[n] = write;
+        adjacency.truncate(write);
+        debug_assert!(write % 2 == 0, "every undirected edge must appear twice");
+        Graph::from_compact_parts(offsets, adjacency, write / 2)
     }
 }
 

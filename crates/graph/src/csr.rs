@@ -19,7 +19,7 @@ use crate::{GraphBuilder, GraphError, VertexId};
 /// [`CompactId::index`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(transparent)]
-pub struct CompactId(u32);
+pub struct CompactId(pub(crate) u32);
 
 impl CompactId {
     /// Converts a [`VertexId`] into its compact form.
@@ -234,33 +234,22 @@ pub struct Graph {
 }
 
 impl Graph {
-    pub(crate) fn from_sorted_adjacency(
-        offsets: Vec<usize>,
-        adjacency: Vec<VertexId>,
-        m: usize,
-    ) -> Self {
-        debug_assert_eq!(*offsets.last().unwrap_or(&0), adjacency.len());
-        Graph {
-            offsets: Offsets::from_usize(offsets),
-            adjacency: adjacency.into_iter().map(CompactId::new).collect(),
-            m,
-        }
-    }
-
-    /// Builds the CSR directly from compact parts (no widening round trip);
-    /// used by the bulk generators.
+    /// Assembles the CSR from finished parts: per-vertex sorted, deduplicated
+    /// adjacency covered by `offsets`. The offsets narrow to `u32` unless the
+    /// adjacency has 2³² or more arcs. The one constructor behind
+    /// [`GraphBuilder::build`] and [`crate::DynamicGraph::compact`].
     pub(crate) fn from_compact_parts(
-        offsets: Vec<u32>,
+        offsets: Vec<usize>,
         adjacency: Vec<CompactId>,
         m: usize,
     ) -> Self {
         debug_assert_eq!(
-            *offsets.last().unwrap_or(&0) as usize,
+            *offsets.last().unwrap_or(&0),
             adjacency.len(),
             "offsets must cover the adjacency array"
         );
         Graph {
-            offsets: Offsets::Small(offsets),
+            offsets: Offsets::from_usize(offsets),
             adjacency,
             m,
         }

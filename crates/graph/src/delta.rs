@@ -41,7 +41,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::{Graph, GraphError, VertexId};
+use crate::{CompactId, Graph, GraphError, VertexId};
 
 /// One topology mutation, applied in batch order against the staged view of
 /// the graph (earlier ops in the same [`GraphDelta`] are already visible).
@@ -434,10 +434,10 @@ impl<'a> DynamicGraph<'a> {
         for u in 0..n {
             let removed = self.removed.get(&u).unwrap_or(&empty);
             let added = self.added.get(&u).unwrap_or(&empty);
-            let mut add_iter = added.iter().copied().peekable();
+            let mut add_iter = added.iter().map(|&a| CompactId::new(a)).peekable();
             if u < self.base.n() {
-                for v in self.base.neighbors(u) {
-                    if removed.contains(&v) {
+                for &v in self.base.neighbors(u).as_compact() {
+                    if removed.contains(&v.index()) {
                         continue;
                     }
                     while add_iter.peek().is_some_and(|&a| a < v) {
@@ -449,7 +449,7 @@ impl<'a> DynamicGraph<'a> {
             adjacency.extend(add_iter);
             offsets.push(adjacency.len());
         }
-        Graph::from_sorted_adjacency(offsets, adjacency, self.m)
+        Graph::from_compact_parts(offsets, adjacency, self.m)
     }
 }
 

@@ -47,10 +47,16 @@ pub fn gnp<R: Rng + ?Sized>(n: usize, p: f64, rng: &mut R) -> Graph {
     if p >= 1.0 {
         return complete(n);
     }
+    let log_q = (1.0 - p).ln();
+    if log_q == 0.0 {
+        // 1 - p rounds to 1.0 (p < ~1e-16): the gap below would be -inf and
+        // push an out-of-range edge. The expected edge count is zero at any
+        // representable n, so the empty graph is the correct sample.
+        return Graph::empty(n);
+    }
     let mut builder = GraphBuilder::new(n);
     // Batagelj–Brandes: walk the strictly-lower-triangular adjacency matrix in
     // row-major order, skipping ahead by geometrically distributed gaps.
-    let log_q = (1.0 - p).ln();
     let mut v: i64 = 1;
     let mut w: i64 = -1;
     let n_i = n as i64;
@@ -81,10 +87,10 @@ pub fn gnp<R: Rng + ?Sized>(n: usize, p: f64, rng: &mut R) -> Graph {
 /// `(seed, v)` — the per-vertex-randomness idea the round engine uses,
 /// applied to graph setup (which dominates wall-clock at `n = 10⁷` in the
 /// scale experiment). Rows are partitioned into contiguous, volume-balanced
-/// blocks; block edge lists are concatenated in row order and scattered into
-/// the compact CSR with a counting sort, which leaves every adjacency list
-/// sorted without a per-list sort (row `v` contributes its smaller neighbors
-/// in ascending order before later rows append the larger ones).
+/// blocks whose edge lists are handed to [`GraphBuilder`] in row order, so
+/// every adjacency list comes out sorted without a per-list sort (row `v`
+/// contributes its smaller neighbors in ascending order before later rows
+/// append the larger ones).
 ///
 /// Uses all available cores; see [`gnp_counter_threads`] to pin the worker
 /// count. Note the sampled graph differs from [`gnp`]'s for the same seed —
@@ -120,6 +126,7 @@ pub fn gnp_counter_threads(n: usize, p: f64, seed: u64, threads: usize) -> Graph
         // graph is the distributionally correct sample.
         return Graph::empty(n);
     }
+    let mut builder = GraphBuilder::new(n);
 
     // Volume-balanced contiguous row blocks: the expected work of rows
     // `0..v` grows like `v²`, so boundaries at `n·sqrt(i/k)` equalize it.
@@ -161,40 +168,10 @@ pub fn gnp_counter_threads(n: usize, p: f64, seed: u64, threads: usize) -> Graph
         edges
     });
 
-    // Counting-sort CSR assembly. Processing edges in generation order keeps
-    // each adjacency list sorted: row v first receives its smaller neighbors
-    // (ascending w), later rows append the larger ones (ascending v).
-    let m: usize = block_edges.iter().map(Vec::len).sum();
-    let arcs = 2 * m;
-    assert!(
-        u32::try_from(arcs).is_ok(),
-        "gnp_counter supports at most 2^31 edges (got m = {m})"
-    );
-    let mut degree = vec![0u32; n];
-    for block in &block_edges {
-        for &(v, w) in block {
-            degree[v as usize] += 1;
-            degree[w as usize] += 1;
-        }
+    for block in block_edges {
+        builder.extend_valid(block);
     }
-    let mut offsets = Vec::with_capacity(n + 1);
-    let mut acc = 0u32;
-    offsets.push(0u32);
-    for &d in &degree {
-        acc += d;
-        offsets.push(acc);
-    }
-    let mut cursor: Vec<u32> = offsets[..n].to_vec();
-    let mut adjacency = vec![crate::CompactId::new(0); arcs];
-    for block in &block_edges {
-        for &(v, w) in block {
-            adjacency[cursor[v as usize] as usize] = crate::CompactId::new(w as usize);
-            cursor[v as usize] += 1;
-            adjacency[cursor[w as usize] as usize] = crate::CompactId::new(v as usize);
-            cursor[w as usize] += 1;
-        }
-    }
-    Graph::from_compact_parts(offsets, adjacency, m)
+    builder.build()
 }
 
 /// Expected number of lower-triangular slots in rows `lo..hi`.
@@ -685,6 +662,13 @@ mod tests {
         // divide by zero (garbage edges) and the distribution rounds to the
         // edgeless graph.
         let g = gnp_counter(1000, 1e-18, 5);
+        assert_eq!(g.n(), 1000);
+        assert_eq!(g.m(), 0);
+    }
+
+    #[test]
+    fn gnp_subnormal_p_yields_the_empty_graph() {
+        let g = gnp(1000, 1e-300, &mut rng(5));
         assert_eq!(g.n(), 1000);
         assert_eq!(g.m(), 0);
     }

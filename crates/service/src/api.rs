@@ -55,14 +55,14 @@ impl GraphSource {
     ///
     /// # Errors
     ///
-    /// Returns a message for invalid uploads (out-of-range endpoints,
-    /// self-loops).
+    /// Returns a message for invalid specs (see [`GraphSpec::try_generate`])
+    /// and invalid uploads (out-of-range endpoints, self-loops).
     pub fn materialize(&self, seed: u64) -> Result<Graph, String> {
         match self {
             GraphSource::Spec(spec) => {
                 use rand::SeedableRng;
                 let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-                Ok(spec.generate(&mut rng))
+                spec.try_generate(&mut rng).map_err(|e| e.to_string())
             }
             GraphSource::Edges { n, edges } => {
                 Graph::from_edges(*n, edges.iter().copied()).map_err(|e| e.to_string())

@@ -302,6 +302,44 @@ fn error_paths_return_proper_statuses() {
 }
 
 #[test]
+fn invalid_graph_specs_get_400_and_are_not_journaled() {
+    let dir = std::env::temp_dir().join(format!("mis-e2e-bad-spec-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = ServiceConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        data_dir: Some(dir.clone()),
+        ..ServiceConfig::default()
+    };
+    let service = Service::start(&config).expect("bind loopback");
+    let mut client = Client::new(service.local_addr().to_string());
+    let journal = Arc::clone(service.state().journal.as_ref().unwrap());
+    let seq = journal.current_seq();
+
+    // p outside [0, 1], and a 3-regular graph on 5 vertices (n·d odd).
+    for spec in [
+        "{\"Gnp\": {\"n\": 10, \"p\": 1.5}}",
+        "{\"Regular\": {\"n\": 5, \"d\": 3}}",
+    ] {
+        let resp = client
+            .post_json("/v1/graphs", format!("{{\"spec\": {spec}, \"seed\": 1}}"))
+            .unwrap();
+        assert_eq!(resp.status, 400, "{spec}: {:?}", resp.text());
+        assert!(resp.text().unwrap().contains("invalid graph"), "{spec}");
+    }
+    assert_eq!(journal.current_seq(), seq, "a rejected spec was journaled");
+    let graphs: Vec<GraphInfo> = parse(&client.get("/v1/graphs").unwrap());
+    assert!(graphs.is_empty(), "{graphs:?}");
+    service.shutdown();
+
+    // A successor replays nothing.
+    let service = Service::start(&config).expect("rebind");
+    assert_eq!(service.state().recovery.graphs, 0);
+    service.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn upload_edges_and_run_on_them() {
     let (service, mut client) = start_service();
     // A 5-cycle uploaded as an explicit edge list.

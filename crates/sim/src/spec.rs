@@ -11,7 +11,7 @@ use mis_core::init::InitStrategy;
 use mis_core::scheduler::{CentralDaemon, RandomSubset, Scheduler, Synchronous};
 use mis_core::victim_sample;
 pub use mis_core::{ByzantineStrategy, ExecutionMode, RoundStrategy};
-use mis_graph::{generators, Graph, VertexId};
+use mis_graph::{generators, Graph, GraphError, VertexId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -110,9 +110,39 @@ impl GraphSpec {
     /// # Panics
     ///
     /// Panics if the parameters are invalid for the family (e.g. a regular
-    /// graph with `n · d` odd).
+    /// graph with `n · d` odd); [`GraphSpec::try_generate`] returns the
+    /// error instead.
     pub fn generate<R: Rng + ?Sized>(&self, rng: &mut R) -> Graph {
-        match *self {
+        self.try_generate(rng)
+            .unwrap_or_else(|e| panic!("invalid graph spec {}: {e}", self.label()))
+    }
+
+    /// Generates a graph according to this specification, rejecting
+    /// parameters the family cannot satisfy. Use this for specs that come
+    /// from outside the program.
+    ///
+    /// # Errors
+    ///
+    /// [`GraphError::InvalidParameter`] if `Gnp`'s `p` is outside `[0, 1]`
+    /// or NaN, a `Regular` graph has `n · d` odd or `d >= n`, a `Cycle` has
+    /// 1 or 2 vertices, or the vertex count exceeds `u32::MAX`.
+    pub fn try_generate<R: Rng + ?Sized>(&self, rng: &mut R) -> Result<Graph, GraphError> {
+        let invalid = |reason: String| Err(GraphError::InvalidParameter { reason });
+        let n = match *self {
+            GraphSpec::DisjointCliques { count, size } => count.checked_mul(size),
+            GraphSpec::Grid { rows, cols } => rows.checked_mul(cols),
+            _ => Some(self.n()),
+        };
+        if n.map_or(true, |n| u32::try_from(n).is_err()) {
+            return invalid(format!("{} has more than u32::MAX vertices", self.label()));
+        }
+        Ok(match *self {
+            GraphSpec::Gnp { p, .. } if !(0.0..=1.0).contains(&p) => {
+                return invalid(format!("p must be in [0, 1], got {p}"))
+            }
+            GraphSpec::Cycle { n } if n == 1 || n == 2 => {
+                return invalid(format!("a cycle needs at least 3 vertices, got {n}"))
+            }
             GraphSpec::Gnp { n, p } => generators::gnp(n, p, rng),
             GraphSpec::Complete { n } => generators::complete(n),
             GraphSpec::DisjointCliques { count, size } => generators::disjoint_cliques(count, size),
@@ -120,12 +150,10 @@ impl GraphSpec {
             GraphSpec::Path { n } => generators::path(n),
             GraphSpec::Cycle { n } => generators::cycle(n),
             GraphSpec::Star { n } => generators::star(n),
-            GraphSpec::Regular { n, d } => {
-                generators::regular(n, d, rng).expect("invalid regular graph parameters")
-            }
+            GraphSpec::Regular { n, d } => generators::regular(n, d, rng)?,
             GraphSpec::Grid { rows, cols } => generators::grid(rows, cols),
             GraphSpec::ForestUnion { n, forests } => generators::forest_union(n, forests, rng),
-        }
+        })
     }
 
     /// Number of vertices the generated graph will have.
@@ -962,6 +990,43 @@ mod tests {
             assert_eq!(g.n(), spec.n(), "{}", spec.label());
             assert!(!spec.label().is_empty());
         }
+    }
+
+    #[test]
+    fn try_generate_rejects_parameters_the_family_cannot_satisfy() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0);
+        let bad = [
+            GraphSpec::Gnp { n: 10, p: 1.5 },
+            GraphSpec::Gnp { n: 10, p: -0.1 },
+            GraphSpec::Gnp { n: 10, p: f64::NAN },
+            GraphSpec::Regular { n: 5, d: 3 },
+            GraphSpec::Regular { n: 5, d: 5 },
+            GraphSpec::Cycle { n: 2 },
+            GraphSpec::Path { n: usize::MAX },
+            GraphSpec::Grid {
+                rows: usize::MAX,
+                cols: 2,
+            },
+        ];
+        for spec in bad {
+            let err = spec.try_generate(&mut rng).unwrap_err();
+            assert!(
+                matches!(err, GraphError::InvalidParameter { .. }),
+                "{}: {err:?}",
+                spec.label()
+            );
+        }
+        let spec = GraphSpec::Gnp { n: 10, p: 0.5 };
+        assert_eq!(
+            spec.try_generate(&mut ChaCha8Rng::seed_from_u64(3)),
+            Ok(spec.generate(&mut ChaCha8Rng::seed_from_u64(3)))
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid graph spec regular(n=5,d=3)")]
+    fn generate_panics_on_an_invalid_spec() {
+        GraphSpec::Regular { n: 5, d: 3 }.generate(&mut ChaCha8Rng::seed_from_u64(0));
     }
 
     #[test]

@@ -95,6 +95,11 @@ bench-phase:
 bench-pool:
     cargo bench -p mis-bench --bench pool_overhead
 
+# The repository benchmark (the command BENCHMARK.json declares), one
+# untraced 30 s run: `just perfbench sparse-two-state 1`.
+perfbench WORKLOAD SEED:
+    cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml -- --workload {{WORKLOAD}} --seed {{SEED}} --seconds 30 --trace 0
+
 # Run one experiment binary at paper scale: `just exp e1_clique`.
 exp NAME *ARGS:
     cargo run --release -p mis-bench --bin exp_{{NAME}} -- {{ARGS}}
@@ -123,3 +128,5 @@ ci:
     test -s results/svc_load.json
     cargo run --release -p mis-bench --bin svc_chaos -- --quick
     test -s results/svc_chaos.json
+    cargo build --release --offline --manifest-path perfbench/Cargo.toml
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml
