@@ -1,23 +1,23 @@
-//! [`Algorithm`] adapters and factories for the baseline MIS algorithms.
+//! [`AlgorithmFactory`] entries for the baseline MIS algorithms.
 //!
-//! The random-priority baseline is a genuine synchronous process and wraps
-//! like the paper's processes. Luby's algorithm, the sequential greedy, and
-//! the deterministic sequential self-stabilizing algorithm are *one-shot*:
-//! their factories run the whole algorithm during
-//! [`AlgorithmFactory::init`] (consuming the trial RNG exactly as the
-//! pre-registry harness did) and wrap the result in a [`FinishedMis`], a
+//! The random-priority baseline is a genuine synchronous process and
+//! implements [`Algorithm`] directly, like the paper's processes. Luby's
+//! algorithm, the sequential greedy, and the deterministic sequential
+//! self-stabilizing algorithm are *one-shot*: their factories run the whole
+//! algorithm during [`AlgorithmFactory::init`] (consuming the trial RNG
+//! exactly as the pre-registry harness did) and return a [`FinishedMis`], a
 //! terminated process that reports the outcome's metrics.
 
 use mis_core::algorithm::{
-    fault_victims, Algorithm, AlgorithmConfig, AlgorithmFactory, CommunicationModel, Registry,
+    Algorithm, AlgorithmConfig, AlgorithmFactory, Capabilities, CommunicationModel, Registry,
+    StateCounts, StepCtx,
 };
-use mis_core::{Process, StateCounts};
 use mis_graph::{Graph, VertexSet};
-use rand::{Rng, RngCore};
+use rand::RngCore;
 
 use crate::greedy::greedy_mis_random_order;
 use crate::luby::luby_mis;
-use crate::random_priority::{Membership, RandomPriorityMis};
+use crate::random_priority::RandomPriorityMis;
 use crate::sequential_selfstab::{SequentialScheduler, SequentialSelfStabMis};
 
 /// Registry key of the random-priority baseline.
@@ -29,10 +29,12 @@ pub const GREEDY_KEY: &str = "greedy";
 /// Registry key of the sequential self-stabilizing baseline.
 pub const SEQUENTIAL_SELFSTAB_KEY: &str = "sequential-selfstab";
 
-/// A terminated MIS computation exposed through the [`Process`] interface:
-/// every vertex is stable, the black set is the computed MIS, and the
-/// reported `round` count is the cost the algorithm already paid (rounds
-/// for Luby, 1 for greedy, moves for the sequential baseline).
+/// A terminated MIS computation exposed through the [`Algorithm`]
+/// interface: every vertex is stable, the black set is the computed MIS,
+/// and the reported `round` count is the cost the algorithm already paid
+/// (rounds for Luby, 1 for greedy, moves for the sequential baseline). It
+/// has no per-round trace and supports none of the optional
+/// [`Capabilities`].
 #[derive(Debug, Clone)]
 pub struct FinishedMis {
     n: usize,
@@ -62,7 +64,7 @@ impl FinishedMis {
     }
 }
 
-impl Process for FinishedMis {
+impl Algorithm for FinishedMis {
     fn n(&self) -> usize {
         self.n
     }
@@ -71,8 +73,9 @@ impl Process for FinishedMis {
         self.rounds
     }
 
-    fn step(&mut self, _rng: &mut dyn RngCore) {
-        // Already terminated; a step changes nothing.
+    fn step(&mut self, ctx: StepCtx<'_>) {
+        // Already terminated: a synchronous step changes nothing.
+        ctx.synchronous_rng();
     }
 
     fn is_stabilized(&self) -> bool {
@@ -112,105 +115,11 @@ impl Process for FinishedMis {
     fn random_bits_used(&self) -> u64 {
         self.random_bits
     }
-}
 
-/// A one-shot baseline outcome as a pluggable [`Algorithm`].
-#[derive(Debug, Clone)]
-pub struct OneShotAlgorithm {
-    finished: FinishedMis,
-    name: &'static str,
-    model: CommunicationModel,
-}
-
-impl OneShotAlgorithm {
-    /// Wraps a finished run under a registry name.
-    pub fn new(finished: FinishedMis, name: &'static str, model: CommunicationModel) -> Self {
-        OneShotAlgorithm {
-            finished,
-            name,
-            model,
-        }
-    }
-}
-
-impl Algorithm for OneShotAlgorithm {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn communication_model(&self) -> CommunicationModel {
-        self.model
-    }
-
-    fn process(&self) -> &dyn Process {
-        &self.finished
-    }
-
-    fn process_mut(&mut self) -> &mut dyn Process {
-        &mut self.finished
-    }
-
-    fn supports_trace(&self) -> bool {
+    fn capabilities(&self) -> Capabilities {
         // The run happened inside the factory; there are no per-round
         // configurations to trace.
-        false
-    }
-}
-
-/// The random-priority self-stabilizing baseline as a pluggable
-/// [`Algorithm`].
-#[derive(Debug, Clone)]
-pub struct RandomPriorityAlgorithm<'g> {
-    inner: RandomPriorityMis<'g>,
-}
-
-impl<'g> RandomPriorityAlgorithm<'g> {
-    /// Wraps an existing instance.
-    pub fn new(inner: RandomPriorityMis<'g>) -> Self {
-        RandomPriorityAlgorithm { inner }
-    }
-
-    /// The wrapped algorithm.
-    pub fn inner(&self) -> &RandomPriorityMis<'g> {
-        &self.inner
-    }
-}
-
-impl Algorithm for RandomPriorityAlgorithm<'_> {
-    fn name(&self) -> &'static str {
-        RANDOM_PRIORITY_KEY
-    }
-
-    fn communication_model(&self) -> CommunicationModel {
-        CommunicationModel::MessagePassing
-    }
-
-    fn process(&self) -> &dyn Process {
-        &self.inner
-    }
-
-    fn process_mut(&mut self) -> &mut dyn Process {
-        &mut self.inner
-    }
-
-    fn inject_faults(&mut self, fraction: f64, rng: &mut dyn RngCore) -> usize {
-        let mut changed = 0;
-        for u in fault_victims(self.inner.n(), fraction, rng) {
-            let membership = if rng.gen_bool(0.5) {
-                Membership::In
-            } else {
-                Membership::Out
-            };
-            if self.inner.membership(u) != membership {
-                changed += 1;
-            }
-            self.inner.set_membership(u, membership);
-        }
-        changed
-    }
-
-    fn supports_fault_injection(&self) -> bool {
-        true
+        Capabilities::default()
     }
 }
 
@@ -238,9 +147,7 @@ impl AlgorithmFactory for RandomPriorityFactory {
         // Self-stabilization is exercised from a uniformly random membership
         // vector regardless of the init strategy, matching the legacy
         // harness behavior.
-        Box::new(RandomPriorityAlgorithm::new(
-            RandomPriorityMis::random_init(graph, rng),
-        ))
+        Box::new(RandomPriorityMis::random_init(graph, rng))
     }
 }
 
@@ -266,10 +173,12 @@ impl AlgorithmFactory for LubyFactory {
         rng: &mut dyn RngCore,
     ) -> Box<dyn Algorithm + 'g> {
         let out = luby_mis(graph, rng);
-        Box::new(OneShotAlgorithm::new(
-            FinishedMis::new(graph.n(), out.mis, out.rounds, out.random_bits, usize::MAX),
-            LUBY_KEY,
-            CommunicationModel::MessagePassing,
+        Box::new(FinishedMis::new(
+            graph.n(),
+            out.mis,
+            out.rounds,
+            out.random_bits,
+            usize::MAX,
         ))
     }
 }
@@ -298,11 +207,7 @@ impl AlgorithmFactory for GreedyFactory {
         // One centralized pass; its shuffle randomness is not metered as
         // per-vertex random bits (legacy harness behavior).
         let mis = greedy_mis_random_order(graph, rng);
-        Box::new(OneShotAlgorithm::new(
-            FinishedMis::new(graph.n(), mis, 1, 0, usize::MAX),
-            GREEDY_KEY,
-            CommunicationModel::Centralized,
-        ))
+        Box::new(FinishedMis::new(graph.n(), mis, 1, 0, usize::MAX))
     }
 }
 
@@ -332,11 +237,7 @@ impl AlgorithmFactory for SequentialSelfStabFactory {
         let out = alg.run(SequentialScheduler::SmallestId, rng);
         // `rounds` carries the move count: the algorithm's natural cost
         // measure under a central scheduler (at most 2n).
-        Box::new(OneShotAlgorithm::new(
-            FinishedMis::new(graph.n(), out.mis, out.moves, 0, 2),
-            SEQUENTIAL_SELFSTAB_KEY,
-            CommunicationModel::Centralized,
-        ))
+        Box::new(FinishedMis::new(graph.n(), out.mis, out.moves, 0, 2))
     }
 }
 
@@ -352,7 +253,6 @@ pub fn register_baseline_algorithms(registry: &mut Registry) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mis_core::algorithm::StepCtx;
     use mis_core::init::InitStrategy;
     use mis_core::ExecutionMode;
     use mis_graph::{generators, mis_check};
@@ -401,7 +301,7 @@ mod tests {
     }
 
     #[test]
-    fn one_shot_adapters_report_legacy_metrics() {
+    fn one_shot_factories_report_legacy_metrics() {
         let mut stream = rng(3);
         let g = generators::gnp(40, 0.12, &mut stream);
 
@@ -410,7 +310,7 @@ mod tests {
         assert_eq!(greedy.round(), 1);
         assert_eq!(greedy.random_bits_used(), 0);
         assert_eq!(greedy.states_per_vertex(), usize::MAX);
-        assert!(!greedy.supports_trace());
+        assert!(!greedy.capabilities().trace);
 
         let seq = SequentialSelfStabFactory.init(&g, &config(), &mut stream);
         assert!(seq.round() <= 2 * g.n(), "move bound violated");
@@ -428,7 +328,7 @@ mod tests {
         assert!(f.is_stabilized());
         assert_eq!(f.round(), 7);
         let mut r = rng(4);
-        f.step(&mut r); // no-op
+        f.step(StepCtx::synchronous(&mut r)); // no-op
         assert_eq!(f.round(), 7);
         assert_eq!(f.black_set(), mis);
         assert_eq!(f.stable_black_set(), mis);
@@ -445,7 +345,7 @@ mod tests {
         let mut stream = rng(5);
         let g = generators::gnp(40, 0.15, &mut stream);
         let mut alg = RandomPriorityFactory.init(&g, &config(), &mut stream);
-        assert!(alg.supports_fault_injection());
+        assert!(alg.capabilities().fault_injection);
         let mut guard = 0;
         while !alg.is_stabilized() {
             alg.step(StepCtx::synchronous(&mut stream));

@@ -29,15 +29,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adapters;
+pub mod factories;
 pub mod greedy;
 pub mod luby;
 pub mod random_priority;
 pub mod sequential_selfstab;
 
-pub use adapters::{
-    register_baseline_algorithms, FinishedMis, OneShotAlgorithm, RandomPriorityAlgorithm,
-};
+pub use factories::{register_baseline_algorithms, FinishedMis};
 pub use greedy::{greedy_mis, greedy_mis_random_order};
 pub use luby::{luby_mis, LubyOutcome};
 pub use random_priority::{RandomPriorityMis, RandomPriorityOutcome};

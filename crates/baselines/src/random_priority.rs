@@ -4,7 +4,7 @@
 //! round and `Θ(log n)`-bit messages — the cost that the paper's
 //! constant-state, one-random-bit processes eliminate.
 
-use mis_core::{Process, StateCounts};
+use mis_core::{Algorithm, Capabilities, StateCounts, StepCtx};
 use mis_graph::{Graph, VertexId, VertexSet};
 use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
@@ -41,7 +41,7 @@ pub struct RandomPriorityOutcome {
 ///
 /// The rule only depends on the current round's priorities and the current
 /// membership vector, so the algorithm is self-stabilizing; it stabilizes in
-/// `O(log n)` rounds w.h.p. Because it implements [`Process`], the same
+/// `O(log n)` rounds w.h.p. Because it implements [`Algorithm`], the same
 /// experiment harness that measures the paper's processes can measure it.
 #[derive(Debug, Clone)]
 pub struct RandomPriorityMis<'g> {
@@ -110,47 +110,10 @@ impl<'g> RandomPriorityMis<'g> {
         self.membership[u] = membership;
     }
 
-    /// Runs until stabilization (at most `max_rounds` rounds) and returns the
-    /// outcome summary.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`mis_core::StabilizationTimeout`] if the round budget is
-    /// exhausted first.
-    pub fn run<R: Rng>(
-        &mut self,
-        rng: &mut R,
-        max_rounds: usize,
-    ) -> Result<RandomPriorityOutcome, mis_core::StabilizationTimeout> {
-        let rounds = Process::run_to_stabilization(self, rng, max_rounds)?;
-        Ok(RandomPriorityOutcome {
-            mis: self.black_set(),
-            rounds,
-            random_bits: self.random_bits,
-        })
-    }
-
-    fn is_in(&self, u: VertexId) -> bool {
-        self.membership[u] == Membership::In
-    }
-
-    /// `u` is dominated if it or a neighbor is a *stable* MIS member, i.e. an
-    /// `In` vertex with no `In` neighbor.
-    fn stable_in(&self, u: VertexId) -> bool {
-        self.is_in(u) && !self.graph.neighbors(u).iter().any(|v| self.is_in(v))
-    }
-}
-
-impl Process for RandomPriorityMis<'_> {
-    fn n(&self) -> usize {
-        self.graph.n()
-    }
-
-    fn round(&self) -> usize {
-        self.round
-    }
-
-    fn step(&mut self, rng: &mut dyn RngCore) {
+    /// Executes one synchronous round: every vertex draws a fresh 32-bit
+    /// priority, then every vertex applies the leave/join rule against the
+    /// pre-round memberships.
+    pub fn step(&mut self, rng: &mut dyn RngCore) {
         let n = self.graph.n();
         let mut priority = vec![0u32; n];
         for u in self.graph.vertices() {
@@ -194,6 +157,50 @@ impl Process for RandomPriorityMis<'_> {
             };
         }
         self.round += 1;
+    }
+
+    /// Runs until stabilization (at most `max_rounds` rounds) and returns the
+    /// outcome summary.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`mis_core::StabilizationTimeout`] if the round budget is
+    /// exhausted first.
+    pub fn run<R: Rng>(
+        &mut self,
+        rng: &mut R,
+        max_rounds: usize,
+    ) -> Result<RandomPriorityOutcome, mis_core::StabilizationTimeout> {
+        let rounds = Algorithm::run_to_stabilization(self, rng, max_rounds)?;
+        Ok(RandomPriorityOutcome {
+            mis: self.black_set(),
+            rounds,
+            random_bits: self.random_bits,
+        })
+    }
+
+    fn is_in(&self, u: VertexId) -> bool {
+        self.membership[u] == Membership::In
+    }
+
+    /// `u` is dominated if it or a neighbor is a *stable* MIS member, i.e. an
+    /// `In` vertex with no `In` neighbor.
+    fn stable_in(&self, u: VertexId) -> bool {
+        self.is_in(u) && !self.graph.neighbors(u).iter().any(|v| self.is_in(v))
+    }
+}
+
+impl Algorithm for RandomPriorityMis<'_> {
+    fn n(&self) -> usize {
+        self.graph.n()
+    }
+
+    fn round(&self) -> usize {
+        self.round
+    }
+
+    fn step(&mut self, ctx: StepCtx<'_>) {
+        self.step(ctx.synchronous_rng());
     }
 
     fn is_stabilized(&self) -> bool {
@@ -253,6 +260,30 @@ impl Process for RandomPriorityMis<'_> {
     fn random_bits_used(&self) -> u64 {
         self.random_bits
     }
+
+    fn capabilities(&self) -> Capabilities {
+        Capabilities {
+            fault_injection: true,
+            trace: true,
+            ..Capabilities::default()
+        }
+    }
+
+    fn inject_faults_targeted(&mut self, victims: &[VertexId], rng: &mut dyn RngCore) -> usize {
+        let mut changed = 0;
+        for &u in victims {
+            let membership = if rng.gen_bool(0.5) {
+                Membership::In
+            } else {
+                Membership::Out
+            };
+            if self.membership(u) != membership {
+                changed += 1;
+            }
+            self.set_membership(u, membership);
+        }
+        changed
+    }
 }
 
 #[cfg(test)]
@@ -301,7 +332,7 @@ mod tests {
             if alg.is_stabilized() {
                 break;
             }
-            Process::step(&mut alg, &mut r);
+            alg.step(&mut r);
         }
     }
 

@@ -5,8 +5,8 @@ use mis_comm::beeping::BeepingTwoStateMis;
 use mis_comm::stone_age::{StoneAgeThreeColorMis, StoneAgeThreeStateMis};
 use mis_core::init::InitStrategy;
 use mis_core::{
-    Color, Process, RandomizedLogSwitch, ThreeColorProcess, ThreeStateProcess, TwoStateProcess,
-    DEFAULT_ZETA,
+    Algorithm, Color, RandomizedLogSwitch, StepCtx, ThreeColorProcess, ThreeStateProcess,
+    TwoStateProcess, DEFAULT_ZETA,
 };
 use mis_graph::generators;
 use rand::SeedableRng;
@@ -187,7 +187,7 @@ pub fn e13_comm_models(scale: Scale) -> Vec<CommEquivalenceRow> {
 
 /// Steps both processes with identical RNG streams until both stabilize (or a
 /// large cap), checking state equality each round.
-fn co_simulate<A: Process, B: Process>(
+fn co_simulate<A: Algorithm, B: Algorithm>(
     a: &mut A,
     b: &mut B,
     seed: u64,
@@ -202,8 +202,8 @@ fn co_simulate<A: Process, B: Process>(
             identical = false;
             break;
         }
-        a.step(&mut rng_a);
-        b.step(&mut rng_b);
+        a.step(StepCtx::synchronous(&mut rng_a));
+        b.step(StepCtx::synchronous(&mut rng_b));
     }
     identical = identical && states_equal(a, b);
     (a.round(), identical)

@@ -2,7 +2,7 @@
 //! detection) and the beeping adaptation of the 2-state MIS process.
 
 use mis_core::init::InitStrategy;
-use mis_core::{Color, Process, StateCounts};
+use mis_core::{Activation, Algorithm, Capabilities, Color, StateCounts, StepCtx};
 use mis_graph::{Graph, VertexId, VertexSet};
 use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
@@ -138,11 +138,28 @@ impl<'g> BeepingTwoStateMis<'g> {
         self.states[u] = color;
     }
 
+    /// Executes one synchronous beeping round: black nodes beep, and every
+    /// node that is active given what it heard re-draws its color.
+    pub fn step(&mut self, rng: &mut dyn RngCore) {
+        let heard = self.heard();
+        for u in self.graph.vertices() {
+            if Self::node_is_active(self.states[u], heard[u]) {
+                self.random_bits += 1;
+                self.states[u] = if rng.gen_bool(0.5) {
+                    Color::Black
+                } else {
+                    Color::White
+                };
+            }
+        }
+        self.round += 1;
+    }
+
     /// Executes one beeping round in which only the nodes of `scheduled`
     /// are activated: the channel round happens as usual (every black node
     /// beeps), but only scheduled nodes apply the update rule; all others
     /// keep their color. A full `scheduled` set is exactly a synchronous
-    /// [`step`](Process::step).
+    /// [`step`](Self::step).
     ///
     /// # Panics
     ///
@@ -183,7 +200,7 @@ impl<'g> BeepingTwoStateMis<'g> {
     }
 }
 
-impl Process for BeepingTwoStateMis<'_> {
+impl Algorithm for BeepingTwoStateMis<'_> {
     fn n(&self) -> usize {
         self.graph.n()
     }
@@ -192,19 +209,11 @@ impl Process for BeepingTwoStateMis<'_> {
         self.round
     }
 
-    fn step(&mut self, rng: &mut dyn RngCore) {
-        let heard = self.heard();
-        for u in self.graph.vertices() {
-            if Self::node_is_active(self.states[u], heard[u]) {
-                self.random_bits += 1;
-                self.states[u] = if rng.gen_bool(0.5) {
-                    Color::Black
-                } else {
-                    Color::White
-                };
-            }
+    fn step(&mut self, ctx: StepCtx<'_>) {
+        match ctx.activation {
+            Activation::All => self.step(ctx.rng),
+            Activation::Subset(set) => self.step_scheduled(set, ctx.rng),
         }
-        self.round += 1;
     }
 
     fn is_stabilized(&self) -> bool {
@@ -291,6 +300,35 @@ impl Process for BeepingTwoStateMis<'_> {
 
     fn random_bits_used(&self) -> u64 {
         self.random_bits
+    }
+
+    fn capabilities(&self) -> Capabilities {
+        Capabilities {
+            partial_activation: true,
+            fault_injection: true,
+            byzantine: true,
+            trace: true,
+            ..Capabilities::default()
+        }
+    }
+
+    fn inject_faults_targeted(&mut self, victims: &[VertexId], rng: &mut dyn RngCore) -> usize {
+        // A fault redraws the color with one coin: black or white.
+        victims
+            .iter()
+            .filter(|&&u| self.set_byzantine_state(u, rng.gen_bool(0.5)))
+            .count()
+    }
+
+    fn set_byzantine_state(&mut self, u: VertexId, black: bool) -> bool {
+        let color = if black { Color::Black } else { Color::White };
+        let changed = self.color(u) != color;
+        self.set_color(u, color);
+        changed
+    }
+
+    fn current_graph(&self) -> Option<&Graph> {
+        Some(self.graph())
     }
 }
 

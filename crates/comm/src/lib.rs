@@ -17,7 +17,7 @@
 //! and [`stone_age::stone_age_round`]) and node-local adapters that
 //! re-implement the processes **using only the channel feedback** — they
 //! never read a neighbor's state directly. Each adapter implements
-//! [`mis_core::Process`], and the test suites prove *trace equivalence*: fed
+//! [`mis_core::Algorithm`], and the test suites prove *trace equivalence*: fed
 //! the same seed and initial states, an adapter visits exactly the same
 //! state sequence as the corresponding direct process from `mis-core`.
 //!
@@ -25,7 +25,7 @@
 //!
 //! ```
 //! use mis_comm::beeping::BeepingTwoStateMis;
-//! use mis_core::{Process, init::InitStrategy};
+//! use mis_core::{Algorithm, init::InitStrategy};
 //! use mis_graph::{generators, mis_check};
 //! use rand::SeedableRng;
 //!
@@ -39,11 +39,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adapters;
 pub mod beeping;
+pub mod factories;
 pub mod stone_age;
 
-pub use adapters::{
-    register_comm_algorithms, BeepingTwoStateAlgorithm, StoneAgeThreeColorAlgorithm,
-    StoneAgeThreeStateAlgorithm,
-};
+pub use factories::register_comm_algorithms;

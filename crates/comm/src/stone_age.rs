@@ -7,8 +7,11 @@
 //! sent this letter" (the one-two-many principle with counting bound 1).
 //! There is no collision detection and no sender identity.
 
+use mis_core::algorithm::uniform3;
 use mis_core::init::InitStrategy;
-use mis_core::{Process, StateCounts, ThreeColor, ThreeState, DEFAULT_ZETA};
+use mis_core::{
+    Activation, Algorithm, Capabilities, StateCounts, StepCtx, ThreeColor, ThreeState, DEFAULT_ZETA,
+};
 use mis_graph::{Graph, VertexId, VertexSet};
 use rand::{Rng, RngCore};
 
@@ -139,12 +142,32 @@ impl<'g> StoneAgeThreeStateMis<'g> {
         self.states[u] = state;
     }
 
+    /// Executes one synchronous stone-age round: every node transmits its
+    /// letter, re-draws `black1`/`black0` when active given what it heard,
+    /// and retires `black0 → white` under a `black1` neighbor.
+    pub fn step(&mut self, rng: &mut dyn RngCore) {
+        let heard = self.heard();
+        for u in self.graph.vertices() {
+            if Self::node_is_active(self.states[u], &heard[u]) {
+                self.random_bits += 1;
+                self.states[u] = if rng.gen_bool(0.5) {
+                    ThreeState::Black1
+                } else {
+                    ThreeState::Black0
+                };
+            } else if self.states[u] == ThreeState::Black0 {
+                self.states[u] = ThreeState::White;
+            }
+        }
+        self.round += 1;
+    }
+
     /// Executes one stone-age round in which only the nodes of `scheduled`
     /// are activated: the channel round happens as usual, but only
     /// scheduled nodes apply the update rule (re-draw when active, retire
     /// `black0 → white` under a `black1` neighbor); all others keep their
     /// state. A full `scheduled` set is exactly a synchronous
-    /// [`step`](Process::step).
+    /// [`step`](Self::step).
     ///
     /// # Panics
     ///
@@ -195,7 +218,7 @@ impl<'g> StoneAgeThreeStateMis<'g> {
     }
 }
 
-impl Process for StoneAgeThreeStateMis<'_> {
+impl Algorithm for StoneAgeThreeStateMis<'_> {
     fn n(&self) -> usize {
         self.graph.n()
     }
@@ -204,21 +227,11 @@ impl Process for StoneAgeThreeStateMis<'_> {
         self.round
     }
 
-    fn step(&mut self, rng: &mut dyn RngCore) {
-        let heard = self.heard();
-        for u in self.graph.vertices() {
-            if Self::node_is_active(self.states[u], &heard[u]) {
-                self.random_bits += 1;
-                self.states[u] = if rng.gen_bool(0.5) {
-                    ThreeState::Black1
-                } else {
-                    ThreeState::Black0
-                };
-            } else if self.states[u] == ThreeState::Black0 {
-                self.states[u] = ThreeState::White;
-            }
+    fn step(&mut self, ctx: StepCtx<'_>) {
+        match ctx.activation {
+            Activation::All => self.step(ctx.rng),
+            Activation::Subset(set) => self.step_scheduled(set, ctx.rng),
         }
-        self.round += 1;
     }
 
     fn is_stabilized(&self) -> bool {
@@ -310,6 +323,49 @@ impl Process for StoneAgeThreeStateMis<'_> {
 
     fn random_bits_used(&self) -> u64 {
         self.random_bits
+    }
+
+    fn capabilities(&self) -> Capabilities {
+        Capabilities {
+            partial_activation: true,
+            fault_injection: true,
+            byzantine: true,
+            trace: true,
+            ..Capabilities::default()
+        }
+    }
+
+    fn inject_faults_targeted(&mut self, victims: &[VertexId], rng: &mut dyn RngCore) -> usize {
+        let mut changed = 0;
+        for &u in victims {
+            let state = match uniform3(rng) {
+                0 => ThreeState::Black1,
+                1 => ThreeState::Black0,
+                _ => ThreeState::White,
+            };
+            if self.state(u) != state {
+                changed += 1;
+            }
+            self.set_state(u, state);
+        }
+        changed
+    }
+
+    fn set_byzantine_state(&mut self, u: VertexId, black: bool) -> bool {
+        // Black1 is the asserting black letter, mirroring the direct
+        // 3-state process.
+        let state = if black {
+            ThreeState::Black1
+        } else {
+            ThreeState::White
+        };
+        let changed = self.state(u) != state;
+        self.set_state(u, state);
+        changed
+    }
+
+    fn current_graph(&self) -> Option<&Graph> {
+        Some(self.graph())
     }
 }
 
@@ -412,61 +468,11 @@ impl<'g> StoneAgeThreeColorMis<'g> {
         self.levels[u] = level;
     }
 
-    /// The letter node `u` transmits: its full `(color, level)` state.
-    pub fn transmission(&self, u: VertexId) -> Option<u8> {
-        let color_index = match self.colors[u] {
-            ThreeColor::Black => 0u8,
-            ThreeColor::White => 1,
-            ThreeColor::Gray => 2,
-        };
-        Some(color_index * 6 + self.levels[u])
-    }
-
-    fn heard(&self) -> Vec<Vec<bool>> {
-        let transmit: Vec<Option<u8>> = self
-            .graph
-            .vertices()
-            .map(|u| self.transmission(u))
-            .collect();
-        stone_age_round(self.graph, &transmit, THREE_COLOR_ALPHABET)
-    }
-
-    /// Whether any *black* letter (color index 0, any level) was heard.
-    fn heard_black(heard: &[bool]) -> bool {
-        heard[..6].iter().any(|&h| h)
-    }
-
-    /// Maximum level over all letters heard, or `None` if silence.
-    fn heard_max_level(heard: &[bool]) -> Option<u8> {
-        (0..18u8)
-            .filter(|&l| heard[l as usize])
-            .map(|l| l % 6)
-            .max()
-    }
-
-    fn node_is_active(color: ThreeColor, heard: &[bool]) -> bool {
-        match color {
-            ThreeColor::Black => Self::heard_black(heard),
-            ThreeColor::White => !Self::heard_black(heard),
-            ThreeColor::Gray => false,
-        }
-    }
-
-    fn stable_black(&self, heard: &[Vec<bool>], u: VertexId) -> bool {
-        self.colors[u].is_black() && !Self::heard_black(&heard[u])
-    }
-}
-
-impl Process for StoneAgeThreeColorMis<'_> {
-    fn n(&self) -> usize {
-        self.graph.n()
-    }
-
-    fn round(&self) -> usize {
-        self.round
-    }
-
-    fn step(&mut self, rng: &mut dyn RngCore) {
+    /// Executes one synchronous stone-age round: every node transmits its
+    /// `(color, level)` letter, updates its color from the black letters it
+    /// heard, then advances its switch level from the levels it heard. The
+    /// switch is a phase clock, so there is no partial activation.
+    pub fn step(&mut self, rng: &mut dyn RngCore) {
         let heard = self.heard();
         // Color update (uses the switch output of the previous round, i.e.
         // the current levels), drawing coins in vertex order exactly like the
@@ -513,6 +519,64 @@ impl Process for StoneAgeThreeColorMis<'_> {
         }
         self.levels = next_levels;
         self.round += 1;
+    }
+
+    /// The letter node `u` transmits: its full `(color, level)` state.
+    pub fn transmission(&self, u: VertexId) -> Option<u8> {
+        let color_index = match self.colors[u] {
+            ThreeColor::Black => 0u8,
+            ThreeColor::White => 1,
+            ThreeColor::Gray => 2,
+        };
+        Some(color_index * 6 + self.levels[u])
+    }
+
+    fn heard(&self) -> Vec<Vec<bool>> {
+        let transmit: Vec<Option<u8>> = self
+            .graph
+            .vertices()
+            .map(|u| self.transmission(u))
+            .collect();
+        stone_age_round(self.graph, &transmit, THREE_COLOR_ALPHABET)
+    }
+
+    /// Whether any *black* letter (color index 0, any level) was heard.
+    fn heard_black(heard: &[bool]) -> bool {
+        heard[..6].iter().any(|&h| h)
+    }
+
+    /// Maximum level over all letters heard, or `None` if silence.
+    fn heard_max_level(heard: &[bool]) -> Option<u8> {
+        (0..18u8)
+            .filter(|&l| heard[l as usize])
+            .map(|l| l % 6)
+            .max()
+    }
+
+    fn node_is_active(color: ThreeColor, heard: &[bool]) -> bool {
+        match color {
+            ThreeColor::Black => Self::heard_black(heard),
+            ThreeColor::White => !Self::heard_black(heard),
+            ThreeColor::Gray => false,
+        }
+    }
+
+    fn stable_black(&self, heard: &[Vec<bool>], u: VertexId) -> bool {
+        self.colors[u].is_black() && !Self::heard_black(&heard[u])
+    }
+}
+
+impl Algorithm for StoneAgeThreeColorMis<'_> {
+    fn n(&self) -> usize {
+        self.graph.n()
+    }
+
+    fn round(&self) -> usize {
+        self.round
+    }
+
+    fn step(&mut self, ctx: StepCtx<'_>) {
+        self.step(ctx.synchronous_rng());
     }
 
     fn is_stabilized(&self) -> bool {
@@ -604,6 +668,49 @@ impl Process for StoneAgeThreeColorMis<'_> {
 
     fn random_bits_used(&self) -> u64 {
         self.random_bits
+    }
+
+    fn capabilities(&self) -> Capabilities {
+        Capabilities {
+            fault_injection: true,
+            byzantine: true,
+            trace: true,
+            ..Capabilities::default()
+        }
+    }
+
+    fn inject_faults_targeted(&mut self, victims: &[VertexId], rng: &mut dyn RngCore) -> usize {
+        let mut changed = 0;
+        for &u in victims {
+            let color = match uniform3(rng) {
+                0 => ThreeColor::Black,
+                1 => ThreeColor::Gray,
+                _ => ThreeColor::White,
+            };
+            let level = (rng.next_u32() % 6) as u8;
+            if self.color(u) != color || self.level(u) != level {
+                changed += 1;
+            }
+            self.set_node_state(u, color, level);
+        }
+        changed
+    }
+
+    fn set_byzantine_state(&mut self, u: VertexId, black: bool) -> bool {
+        // Only the displayed color is overridden; the node's switch level
+        // keeps ticking, as in the direct 3-color process.
+        let color = if black {
+            ThreeColor::Black
+        } else {
+            ThreeColor::White
+        };
+        let changed = self.color(u) != color;
+        self.set_node_state(u, color, self.level(u));
+        changed
+    }
+
+    fn current_graph(&self) -> Option<&Graph> {
+        Some(self.graph())
     }
 }
 

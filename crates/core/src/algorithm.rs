@@ -2,29 +2,31 @@
 //! [`Registry`] behind the experiment harness.
 //!
 //! Everything the harness can run — the paper's three processes, the four
-//! baselines, and the weak-communication adaptations — is exposed through
-//! one dyn-compatible trait, so schedulers, observers, fault injection, and
+//! baselines, and the weak-communication adaptations — implements one
+//! dyn-compatible trait, so schedulers, observers, fault injection, and
 //! metric collection are written once and algorithms plug in by name:
 //!
-//! * [`Algorithm`] wraps a [`Process`] (or a terminated run) and adds the
-//!   capabilities the harness needs: scheduled (partial-activation) steps,
-//!   in-place fault injection, and capability flags
-//!   ([`supports_parallel`](Algorithm::supports_parallel),
-//!   [`supports_counter_rng`](Algorithm::supports_counter_rng),
-//!   [`communication_model`](Algorithm::communication_model), …).
+//! * [`Algorithm`] is a process in the sense of Section 2 of the paper: a
+//!   synchronous local rule ([`step`](Algorithm::step)) plus the vertex
+//!   partition `B_t`, `A_t`, `I_t`, `V_t` the analysis reads. Optional
+//!   abilities — scheduled (partial-activation) steps, in-place fault
+//!   injection, Byzantine overrides, topology changes — are advertised by
+//!   one [`Capabilities`] set.
 //! * [`AlgorithmFactory`] is the `init(graph, init_strategy, rng)` entry
 //!   point: it builds a boxed algorithm instance for one trial from an
-//!   [`AlgorithmConfig`].
+//!   [`AlgorithmConfig`], and names the algorithm's registry key and
+//!   [`CommunicationModel`].
 //! * [`Registry`] maps stable string keys (`"two-state"`,
 //!   `"beeping-two-state"`, …) to factories. Crates register their
 //!   algorithms (`mis_core::register_core_algorithms`, and the comm/baseline
 //!   equivalents); the sim crate composes the builtin registry and resolves
 //!   experiment specs through it.
 //!
-//! External algorithms join the harness by implementing the two traits and
+//! A new algorithm joins the harness by implementing [`Algorithm`] and
 //! registering a factory — no enum needs to grow.
 
 use std::collections::BTreeMap;
+use std::error::Error;
 use std::fmt;
 
 use mis_graph::{CommittedDelta, Graph, GraphDelta, VertexId, VertexSet};
@@ -34,8 +36,47 @@ use serde::{Deserialize, Serialize};
 use crate::exec::{ExecutionMode, RoundStrategy};
 use crate::init::InitStrategy;
 use crate::mutation::MutationError;
-use crate::process::{Process, StateCounts};
 use crate::scheduler::Activation;
+
+/// Error returned by [`Algorithm::run_to_stabilization`] when the process
+/// did not stabilize within the allowed number of rounds.
+///
+/// All processes in this workspace stabilize with probability 1, so hitting
+/// this error in practice means either the round budget was too small for
+/// the graph or the process is being run on an adversarially chosen budget.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct StabilizationTimeout {
+    /// Number of rounds executed before giving up.
+    pub rounds_executed: usize,
+}
+
+impl fmt::Display for StabilizationTimeout {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "process did not stabilize within {} rounds",
+            self.rounds_executed
+        )
+    }
+}
+
+impl Error for StabilizationTimeout {}
+
+/// Per-round summary of the vertex partition maintained by a process, using
+/// the notation of Section 2 of the paper.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+pub struct StateCounts {
+    /// `|B_t|` — vertices currently black.
+    pub black: usize,
+    /// `|W_t|` (plus gray vertices in the 3-color process) — vertices not black.
+    pub non_black: usize,
+    /// `|A_t|` — active vertices (those that will re-randomize next round).
+    pub active: usize,
+    /// `|I_t|` — stable black vertices (black with no black neighbor).
+    pub stable_black: usize,
+    /// `|V_t|` — vertices that are not yet stable.
+    pub unstable: usize,
+}
 
 /// The weakest communication model an algorithm's local rule needs.
 ///
@@ -94,107 +135,183 @@ impl<'a> StepCtx<'a> {
             activation: &Activation::All,
         }
     }
+
+    /// The RNG of a synchronous round, for algorithms without partial
+    /// activation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the activation is a subset.
+    pub fn synchronous_rng(self) -> &'a mut dyn RngCore {
+        match self.activation {
+            Activation::All => self.rng,
+            Activation::Subset(_) => panic!(
+                "algorithm does not support partial activation; \
+                 use the synchronous scheduler"
+            ),
+        }
+    }
 }
 
-/// A runnable MIS algorithm instance, bound to one graph for one trial.
+/// What an [`Algorithm`] supports beyond synchronous rounds. The harness
+/// checks these before it schedules partial activation, faults, churn, an
+/// adversary or a trace.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Capabilities {
+    /// [`Algorithm::apply_mutation`] applies topology changes (rather than
+    /// declining with [`MutationError::Unsupported`]).
+    pub topology_change: bool,
+    /// Rounds can run in intra-round data-parallel phases with
+    /// counter-based coins ([`ExecutionMode::Parallel`]).
+    pub parallel: bool,
+    /// [`Algorithm::step`] accepts [`Activation::Subset`].
+    pub partial_activation: bool,
+    /// [`Algorithm::inject_faults_targeted`] actually corrupts state.
+    pub fault_injection: bool,
+    /// [`Algorithm::set_byzantine_state`] actually overrides state (so the
+    /// harness may attach a [`crate::byzantine::ByzantineOverlay`]).
+    pub byzantine: bool,
+    /// Per-round [`counts`](Algorithm::counts) traces are meaningful.
+    /// One-shot baselines (greedy, Luby, the sequential self-stabilizing
+    /// algorithm) run to completion inside their factory and have none.
+    pub trace: bool,
+}
+
+/// A synchronous, self-stabilizing graph process computing an MIS, bound to
+/// one graph for one trial.
 ///
-/// This is the object-safe seam between the experiment harness and the
-/// algorithm implementations: the harness only ever holds a
-/// `Box<dyn Algorithm + 'g>`. Most accessors have default implementations
-/// that delegate to the wrapped [`Process`]; adapters override the methods
-/// where they have extra capabilities (scheduled steps, fault injection) and
-/// the capability flags that advertise them.
+/// Implementations update all vertex states in parallel each
+/// [`step`](Self::step) (Section 2 of the paper) and expose the evolving
+/// vertex partitions that the analysis reasons about. A process is
+/// **stabilized** when every vertex is stable, at which point the set of
+/// black vertices is a maximal independent set of the underlying graph and
+/// no state changes any more.
+///
+/// The trait is object-safe: the harness only ever holds a
+/// `Box<dyn Algorithm + 'g>`. Concrete processes also keep an inherent
+/// `step(&mut self, rng)` for one synchronous round, so direct callers need
+/// no [`StepCtx`].
+///
+/// # Per-round complexity contract
+///
+/// The paper's processes execute rounds through the incremental
+/// [`engine`](crate::engine): a step costs `O(|A_t| + vol(A_t))` — the
+/// number of frontier vertices plus the degree sum of the vertices that
+/// changed — **not** `O(n + m)`, and [`is_stabilized`](Self::is_stabilized)
+/// and [`counts`](Self::counts) are `O(1)` reads of cached counters. Once a
+/// region of the graph is quiet, no work happens there; a fully stabilized
+/// 2-state instance steps in (near-)constant time. (The 3-color process's
+/// *color* update obeys the same bound, but its logarithmic-switch
+/// sub-process is a phase clock that advances every vertex every round, so
+/// a 3-color step stays `O(n)`; the 3-state process keeps its stable black
+/// vertices alternating by definition, so its steady state costs
+/// `O(|I_t| + vol(I_t))`.) The set-returning accessors
+/// ([`black_set`](Self::black_set), [`active_set`](Self::active_set), …)
+/// materialize a bitset and remain `O(n)`.
 pub trait Algorithm {
-    /// The registry key / display name of the algorithm.
-    fn name(&self) -> &'static str;
-
-    /// The weakest communication model the algorithm's rule needs.
-    fn communication_model(&self) -> CommunicationModel;
-
-    /// The wrapped process (read-only).
-    fn process(&self) -> &dyn Process;
-
-    /// The wrapped process (mutable).
-    fn process_mut(&mut self) -> &mut dyn Process;
-
     /// Number of vertices of the underlying graph.
-    fn n(&self) -> usize {
-        self.process().n()
-    }
+    fn n(&self) -> usize;
 
-    /// Rounds executed so far.
-    fn round(&self) -> usize {
-        self.process().round()
-    }
+    /// Number of rounds executed so far (the `t` of the paper; 0 initially).
+    fn round(&self) -> usize;
 
     /// Executes one round under the activation in `ctx`.
     ///
     /// # Panics
     ///
     /// Panics if `ctx.activation` is a subset but the algorithm does not
-    /// support partial activation (see
-    /// [`supports_partial_activation`](Self::supports_partial_activation)).
-    fn step(&mut self, ctx: StepCtx<'_>) {
-        match ctx.activation {
-            Activation::All => self.process_mut().step(ctx.rng),
-            Activation::Subset(_) => panic!(
-                "algorithm '{}' does not support partial activation; \
-                 use the synchronous scheduler",
-                self.name()
-            ),
+    /// support partial activation (see [`Capabilities::partial_activation`]).
+    fn step(&mut self, ctx: StepCtx<'_>);
+
+    /// `true` if every vertex is stable: the black set is an MIS and no
+    /// state will change again (for the 3-state process: no *blackness*
+    /// will change again).
+    fn is_stabilized(&self) -> bool;
+
+    /// The current set of black vertices `B_t`.
+    fn black_set(&self) -> VertexSet;
+
+    /// The current set of active vertices `A_t` (vertices that will draw a
+    /// random state in the next round).
+    fn active_set(&self) -> VertexSet;
+
+    /// The current set of stable black vertices `I_t` (black vertices with no
+    /// black neighbor). `I_t` is always an independent set and a subset of
+    /// the final MIS.
+    fn stable_black_set(&self) -> VertexSet;
+
+    /// The current set of non-stable vertices `V_t = V \ N⁺(I_t)`.
+    fn unstable_set(&self) -> VertexSet;
+
+    /// Aggregate counts of the current partition.
+    fn counts(&self) -> StateCounts;
+
+    /// Number of distinct states each vertex can be in (2, 3, or 18 for the
+    /// processes of the paper) — the "few states" headline metric;
+    /// `usize::MAX` for algorithms with super-constant state.
+    fn states_per_vertex(&self) -> usize;
+
+    /// Total number of random bits drawn so far across all vertices, used by
+    /// the baseline-comparison experiments ("constant random bits per round").
+    fn random_bits_used(&self) -> u64;
+
+    /// What this algorithm supports beyond synchronous rounds.
+    fn capabilities(&self) -> Capabilities;
+
+    /// Runs synchronous rounds until the process stabilizes, executing at
+    /// most `max_rounds` additional rounds.
+    ///
+    /// Returns the total number of rounds executed so far (i.e. the
+    /// stabilization time when starting from round 0).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StabilizationTimeout`] if the process has not stabilized
+    /// after `max_rounds` additional rounds.
+    fn run_to_stabilization(
+        &mut self,
+        rng: &mut dyn RngCore,
+        max_rounds: usize,
+    ) -> Result<usize, StabilizationTimeout> {
+        for _ in 0..max_rounds {
+            if self.is_stabilized() {
+                return Ok(self.round());
+            }
+            self.step(StepCtx::synchronous(rng));
         }
-    }
-
-    /// `true` if the black set is an MIS and no state will change again
-    /// (for the 3-state process: no *blackness* will change again).
-    fn is_stabilized(&self) -> bool {
-        self.process().is_stabilized()
-    }
-
-    /// Aggregate counts of the current vertex partition.
-    fn counts(&self) -> StateCounts {
-        self.process().counts()
-    }
-
-    /// The current set of black vertices.
-    fn black_set(&self) -> VertexSet {
-        self.process().black_set()
-    }
-
-    /// States per vertex (the paper's "few states" metric); `usize::MAX`
-    /// for algorithms with super-constant state.
-    fn states_per_vertex(&self) -> usize {
-        self.process().states_per_vertex()
-    }
-
-    /// Total random bits drawn so far.
-    fn random_bits_used(&self) -> u64 {
-        self.process().random_bits_used()
+        if self.is_stabilized() {
+            Ok(self.round())
+        } else {
+            Err(StabilizationTimeout {
+                rounds_executed: self.round(),
+            })
+        }
     }
 
     /// Overwrites the states of `ceil(fraction · n)` uniformly chosen
     /// vertices with uniformly random states (a transient fault) and returns
     /// the number of vertices whose state actually changed.
     ///
-    /// The default implementation does nothing and returns 0; algorithms
-    /// that can be corrupted override it and set
-    /// [`supports_fault_injection`](Self::supports_fault_injection).
-    /// Overriders are expected to delegate to
-    /// [`inject_faults_targeted`](Self::inject_faults_targeted) on a
-    /// [`fault_victims`] sample, so random-count and targeted faults share
-    /// one corruption recipe (and one RNG-stream shape).
-    fn inject_faults(&mut self, _fraction: f64, _rng: &mut dyn RngCore) -> usize {
-        0
+    /// Draws the victims with [`fault_victims`] and corrupts them with
+    /// [`inject_faults_targeted`](Self::inject_faults_targeted), so
+    /// random-count and targeted faults share one corruption recipe (and
+    /// one RNG-stream shape). Implementations override the targeted method,
+    /// not this one. Without [`Capabilities::fault_injection`] it draws
+    /// nothing and returns 0.
+    fn inject_faults(&mut self, fraction: f64, rng: &mut dyn RngCore) -> usize {
+        if !self.capabilities().fault_injection {
+            return 0;
+        }
+        let victims = fault_victims(self.n(), fraction, rng);
+        self.inject_faults_targeted(&victims, rng)
     }
 
     /// Overwrites the states of exactly the given `victims` with uniformly
     /// random states (a *targeted* transient fault) and returns the number
     /// of vertices whose state actually changed.
     ///
-    /// The default implementation does nothing and returns 0; algorithms
-    /// that can be corrupted override it together with
-    /// [`inject_faults`](Self::inject_faults) under the same
-    /// [`supports_fault_injection`](Self::supports_fault_injection) flag.
+    /// The default does nothing and returns 0; algorithms that can be
+    /// corrupted override it and set [`Capabilities::fault_injection`].
     fn inject_faults_targeted(&mut self, _victims: &[VertexId], _rng: &mut dyn RngCore) -> usize {
         0
     }
@@ -210,8 +327,7 @@ pub trait Algorithm {
     /// stone-age letters) is deliberately left untouched so the adversary
     /// controls exactly the blackness neighbors observe. The default does
     /// nothing and returns `false`; algorithms that support adversarial
-    /// overrides implement it and set
-    /// [`supports_byzantine`](Self::supports_byzantine).
+    /// overrides implement it and set [`Capabilities::byzantine`].
     fn set_byzantine_state(&mut self, _u: VertexId, _black: bool) -> bool {
         false
     }
@@ -224,9 +340,8 @@ pub trait Algorithm {
     ///
     /// The default declines with [`MutationError::Unsupported`] and leaves
     /// the state untouched; algorithms that can follow topology changes
-    /// override it and set
-    /// [`supports_topology_change`](Self::supports_topology_change). The
-    /// harness consults that flag before scheduling churn.
+    /// override it and set [`Capabilities::topology_change`]. The harness
+    /// consults that flag before scheduling churn.
     ///
     /// # Errors
     ///
@@ -246,50 +361,6 @@ pub trait Algorithm {
     /// `None` (the harness falls back to the trial's original graph).
     fn current_graph(&self) -> Option<&Graph> {
         None
-    }
-
-    /// `true` if [`apply_mutation`](Self::apply_mutation) actually applies
-    /// topology changes (rather than declining with
-    /// [`MutationError::Unsupported`]).
-    fn supports_topology_change(&self) -> bool {
-        false
-    }
-
-    /// `true` if rounds can run in intra-round data-parallel phases
-    /// ([`ExecutionMode::Parallel`]).
-    fn supports_parallel(&self) -> bool {
-        false
-    }
-
-    /// `true` if coins can come from the counter-based per-vertex RNG
-    /// (thread-count-invariant parallel trajectories).
-    fn supports_counter_rng(&self) -> bool {
-        false
-    }
-
-    /// `true` if [`step`](Self::step) accepts [`Activation::Subset`].
-    fn supports_partial_activation(&self) -> bool {
-        false
-    }
-
-    /// `true` if [`inject_faults`](Self::inject_faults) actually corrupts
-    /// state.
-    fn supports_fault_injection(&self) -> bool {
-        false
-    }
-
-    /// `true` if [`set_byzantine_state`](Self::set_byzantine_state)
-    /// actually overrides state (so the harness may attach a
-    /// [`crate::byzantine::ByzantineOverlay`]).
-    fn supports_byzantine(&self) -> bool {
-        false
-    }
-
-    /// `true` if per-round [`counts`](Self::counts) traces are meaningful.
-    /// One-shot baselines (greedy, Luby, the sequential self-stabilizing
-    /// algorithm) run to completion inside their factory and report `false`.
-    fn supports_trace(&self) -> bool {
-        true
     }
 }
 
@@ -544,6 +615,25 @@ mod tests {
     fn fault_victims_rejects_bad_fraction() {
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         fault_victims(4, -0.1, &mut rng);
+    }
+
+    #[test]
+    fn timeout_error_displays_round_count() {
+        let e = StabilizationTimeout {
+            rounds_executed: 42,
+        };
+        assert!(e.to_string().contains("42"));
+        fn assert_err<E: Error + Send + Sync + 'static>() {}
+        assert_err::<StabilizationTimeout>();
+    }
+
+    #[test]
+    fn state_counts_default_is_zero() {
+        let c = StateCounts::default();
+        assert_eq!(
+            c.black + c.non_black + c.active + c.stable_black + c.unstable,
+            0
+        );
     }
 
     #[test]

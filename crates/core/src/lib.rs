@@ -17,7 +17,7 @@
 //!   it uses 3 × 6 = 18 states and stabilizes in polylog rounds on `G(n,p)`
 //!   for the whole range of `p` (Theorem 3).
 //!
-//! All processes implement the [`Process`] trait, are **self-stabilizing**
+//! All processes implement the [`Algorithm`] trait, are **self-stabilizing**
 //! (they may be started from an arbitrary state vector, see [`init`]), and
 //! expose the per-round vertex partitions used throughout the paper's
 //! analysis (`B_t`, `A_t`, `I_t`, `V_t`).
@@ -51,7 +51,7 @@
 //! # Example
 //!
 //! ```
-//! use mis_core::{Process, TwoStateProcess, init::InitStrategy};
+//! use mis_core::{Algorithm, TwoStateProcess, init::InitStrategy};
 //! use mis_graph::{generators, mis_check};
 //! use rand::SeedableRng;
 //!
@@ -66,38 +66,34 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adapters;
 pub mod algorithm;
 pub mod byzantine;
 pub mod counter_rng;
 pub mod engine;
 pub mod exec;
+pub mod factories;
 pub mod init;
 mod log_switch;
 mod mutation;
 pub mod packed;
-mod process;
 pub mod scheduler;
 pub mod sync;
 mod three_color;
 mod three_state;
 mod two_state;
 
-pub use adapters::{
-    register_core_algorithms, ThreeColorAlgorithm, ThreeStateAlgorithm, TwoStateAlgorithm,
-};
 pub use algorithm::{
-    fault_victims, victim_sample, Algorithm, AlgorithmConfig, AlgorithmFactory, CommunicationModel,
-    Registry, StepCtx,
+    fault_victims, victim_sample, Algorithm, AlgorithmConfig, AlgorithmFactory, Capabilities,
+    CommunicationModel, Registry, StabilizationTimeout, StateCounts, StepCtx,
 };
 pub use byzantine::{Adversary, ByzantineOverlay, ByzantineStrategy};
 pub use counter_rng::CounterRng;
 pub use engine::{FrontierEngine, ScatterSink, VertexClass};
 pub use exec::{ExecutionMode, RoundStrategy, DENSE_SWITCH_DIVISOR};
+pub use factories::register_core_algorithms;
 pub use log_switch::{FixedPeriodSwitch, RandomizedLogSwitch, SwitchProcess, DEFAULT_ZETA};
 pub use mutation::MutationError;
 pub use packed::PackedStates;
-pub use process::{Process, StabilizationTimeout, StateCounts};
 pub use scheduler::{Activation, CentralDaemon, RandomSubset, Scheduler, Synchronous};
 pub use three_color::{ThreeColor, ThreeColorProcess, LOG_SWITCH_A};
 pub use three_state::{ThreeState, ThreeStateProcess};

@@ -57,6 +57,15 @@ pub trait SwitchProcess: Sync {
     /// Total random bits drawn so far.
     fn random_bits_used(&self) -> u64;
 
+    /// Overwrites vertex `u`'s switch memory with a uniformly random value
+    /// (a transient fault) and returns whether it changed. The default fits
+    /// switches without per-vertex memory: it draws nothing and returns
+    /// `false`.
+    fn corrupt(&mut self, u: VertexId, rng: &mut dyn RngCore) -> bool {
+        let _ = (u, rng);
+        false
+    }
+
     /// Rebinds the switch to a mutated graph (same vertex ids, possibly
     /// more of them — topology mutations never renumber). The parent
     /// process passes the **same** `Arc` it adopted, so both sub-processes
@@ -288,6 +297,13 @@ impl SwitchProcess for RandomizedLogSwitch<'_> {
 
     fn random_bits_used(&self) -> u64 {
         self.random_bits
+    }
+
+    fn corrupt(&mut self, u: VertexId, rng: &mut dyn RngCore) -> bool {
+        let level = (rng.next_u32() % 6) as u8;
+        let changed = self.levels[u] != level;
+        self.set_level(u, level);
+        changed
     }
 
     fn rebind_graph(&mut self, graph: &Arc<Graph>) -> Result<(), MutationError> {

@@ -4,6 +4,7 @@ use mis_graph::{CommittedDelta, Graph, GraphDelta, VertexId, VertexSet};
 use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
 
+use crate::algorithm::{uniform3, Algorithm, Capabilities, StateCounts, StepCtx};
 use crate::counter_rng::{CounterRng, DRAW_STATE};
 use crate::engine::{FrontierEngine, VertexClass};
 use crate::exec::{resolve_threads, ExecutionMode, RoundStrategy};
@@ -11,7 +12,6 @@ use crate::init::InitStrategy;
 use crate::log_switch::{RandomizedLogSwitch, SwitchProcess, DEFAULT_ZETA};
 use crate::mutation::{GraphRef, MutationError};
 use crate::packed::PackedStates;
-use crate::process::{Process, StateCounts};
 
 /// The switch parameter `a` used by the paper when instantiating the 3-color
 /// process (Definition 28): the logarithmic switch is an `(a, 3)`-switch with
@@ -105,7 +105,7 @@ fn classify(colors: &PackedStates) -> impl Fn(VertexId, u32) -> VertexClass + Sy
 /// Colors are stored bit-packed (2 bits per vertex) and the color update
 /// runs through the incremental [`FrontierEngine`]
 /// (`O(|A_t| + |Γ_t| + vol(A_t))` per round, `O(1)`
-/// [`is_stabilized`](Process::is_stabilized)); the switch sub-process is a
+/// [`is_stabilized`](Algorithm::is_stabilized)); the switch sub-process is a
 /// phase clock that advances every vertex every round, so its `O(n)` step
 /// dominates once the color dynamics are quiet (in parallel mode that `O(n)`
 /// is data-parallel too).
@@ -125,7 +125,7 @@ fn classify(colors: &PackedStates) -> impl Fn(VertexId, u32) -> VertexClass + Sy
 /// # Example
 ///
 /// ```
-/// use mis_core::{ThreeColorProcess, Process, init::InitStrategy};
+/// use mis_core::{Algorithm, ThreeColorProcess, init::InitStrategy};
 /// use mis_graph::{generators, mis_check};
 /// use rand::SeedableRng;
 ///
@@ -231,7 +231,7 @@ impl<'g, S: SwitchProcess> ThreeColorProcess<'g, S> {
         self.strategy
     }
 
-    /// `true` if the most recent [`step`](Process::step) ran the dense
+    /// `true` if the most recent [`step`](Self::step) ran the dense
     /// full-sweep path.
     pub fn last_round_was_dense(&self) -> bool {
         self.last_round_dense
@@ -358,9 +358,35 @@ impl<'g, S: SwitchProcess> ThreeColorProcess<'g, S> {
         self.engine.is_stable(u)
     }
 
+    /// Executes one synchronous round of Definition 28: the color update
+    /// reads the switch output of the previous round, then the switch
+    /// advances every vertex. The color update takes the dense or the
+    /// sparse path per [`RoundStrategy`] and draws its coins per
+    /// [`ExecutionMode`]; [`Algorithm::step`] reaches it under the
+    /// synchronous scheduler (the switch is a phase clock, so there is no
+    /// partial activation).
+    pub fn step(&mut self, rng: &mut dyn RngCore) {
+        let dense = match self.strategy {
+            RoundStrategy::Sparse => false,
+            RoundStrategy::Dense => true,
+            RoundStrategy::Auto => self.engine.prefers_dense(self.graph.get()),
+        };
+        self.last_round_dense = dense;
+        match (self.mode, dense) {
+            (ExecutionMode::Sequential, false) => self.step_sequential(rng),
+            (ExecutionMode::Sequential, true) => self.step_dense_sequential(rng),
+            (ExecutionMode::Parallel { threads }, false) => {
+                self.step_parallel(resolve_threads(threads))
+            }
+            (ExecutionMode::Parallel { threads }, true) => {
+                self.step_dense_parallel(resolve_threads(threads))
+            }
+        }
+    }
+
     /// Executes one synchronous round with the naive full-scan reference
     /// implementation (`O(n + m)`): identical colors, switch evolution, and
-    /// RNG stream as a sequential-mode [`step`](Process::step), retained as
+    /// RNG stream as a sequential-mode [`step`](Self::step), retained as
     /// the oracle for the engine's trace-equality tests.
     pub fn step_reference(&mut self, rng: &mut dyn RngCore) {
         let mut black_nbrs = vec![0u32; self.n()];
@@ -611,7 +637,7 @@ impl<'g, S: SwitchProcess> ThreeColorProcess<'g, S> {
     }
 }
 
-impl<S: SwitchProcess> Process for ThreeColorProcess<'_, S> {
+impl<S: SwitchProcess> Algorithm for ThreeColorProcess<'_, S> {
     fn n(&self) -> usize {
         self.graph.get().n()
     }
@@ -620,23 +646,8 @@ impl<S: SwitchProcess> Process for ThreeColorProcess<'_, S> {
         self.round
     }
 
-    fn step(&mut self, rng: &mut dyn RngCore) {
-        let dense = match self.strategy {
-            RoundStrategy::Sparse => false,
-            RoundStrategy::Dense => true,
-            RoundStrategy::Auto => self.engine.prefers_dense(self.graph.get()),
-        };
-        self.last_round_dense = dense;
-        match (self.mode, dense) {
-            (ExecutionMode::Sequential, false) => self.step_sequential(rng),
-            (ExecutionMode::Sequential, true) => self.step_dense_sequential(rng),
-            (ExecutionMode::Parallel { threads }, false) => {
-                self.step_parallel(resolve_threads(threads))
-            }
-            (ExecutionMode::Parallel { threads }, true) => {
-                self.step_dense_parallel(resolve_threads(threads))
-            }
-        }
+    fn step(&mut self, ctx: StepCtx<'_>) {
+        self.step(ctx.synchronous_rng());
     }
 
     fn is_stabilized(&self) -> bool {
@@ -670,6 +681,59 @@ impl<S: SwitchProcess> Process for ThreeColorProcess<'_, S> {
 
     fn random_bits_used(&self) -> u64 {
         self.random_bits + self.switch.random_bits_used()
+    }
+
+    fn capabilities(&self) -> Capabilities {
+        Capabilities {
+            topology_change: true,
+            parallel: true,
+            partial_activation: false,
+            fault_injection: true,
+            byzantine: true,
+            trace: true,
+        }
+    }
+
+    fn inject_faults_targeted(&mut self, victims: &[VertexId], rng: &mut dyn RngCore) -> usize {
+        let mut changed = 0;
+        // A victim's whole local memory — color *and* switch level — is
+        // overwritten, and it counts once if either changed, matching the
+        // stone-age 3-color network.
+        for &u in victims {
+            let color = match uniform3(rng) {
+                0 => ThreeColor::Black,
+                1 => ThreeColor::Gray,
+                _ => ThreeColor::White,
+            };
+            let recolored = self.color(u) != color;
+            self.set_color(u, color);
+            let relevelled = self.switch.corrupt(u, rng);
+            if recolored || relevelled {
+                changed += 1;
+            }
+        }
+        changed
+    }
+
+    fn set_byzantine_state(&mut self, u: VertexId, black: bool) -> bool {
+        // Only the color neighbors observe is overridden; the switch level
+        // keeps ticking (the adversary controls blackness, not the clock).
+        let color = if black {
+            ThreeColor::Black
+        } else {
+            ThreeColor::White
+        };
+        let changed = self.color(u) != color;
+        self.set_color(u, color);
+        changed
+    }
+
+    fn apply_mutation(&mut self, delta: &GraphDelta) -> Result<CommittedDelta, MutationError> {
+        ThreeColorProcess::apply_mutation(self, delta)
+    }
+
+    fn current_graph(&self) -> Option<&Graph> {
+        Some(self.graph())
     }
 }
 

@@ -4,13 +4,14 @@ use mis_graph::{CommittedDelta, Graph, GraphDelta, VertexId, VertexSet};
 use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
 
+use crate::algorithm::{uniform3, Algorithm, Capabilities, StateCounts, StepCtx};
 use crate::counter_rng::{CounterRng, DRAW_STATE};
 use crate::engine::{FrontierEngine, VertexClass};
 use crate::exec::{resolve_threads, ExecutionMode, RoundStrategy};
 use crate::init::InitStrategy;
 use crate::mutation::{GraphRef, MutationError};
 use crate::packed::PackedStates;
-use crate::process::{Process, StateCounts};
+use crate::scheduler::Activation;
 use crate::sync::AtomicU32Vec;
 
 /// Vertex state of the 3-state MIS process (Definition 5).
@@ -101,11 +102,11 @@ fn classify<'a>(
 /// has at least one neighbor and makes isolated vertices join the MIS.
 ///
 /// States are stored bit-packed (2 bits per vertex) and rounds run through
-/// the incremental [`FrontierEngine`]: a [`step`](Process::step) touches
+/// the incremental [`FrontierEngine`]: a [`step`](ThreeStateProcess::step) touches
 /// only the frontier (black vertices and active whites — stable black
 /// vertices keep alternating by definition, so they stay on it) and the
 /// neighborhoods of vertices that changed, and
-/// [`is_stabilized`](Process::is_stabilized)/[`counts`](Process::counts) are
+/// [`is_stabilized`](Algorithm::is_stabilized)/[`counts`](Algorithm::counts) are
 /// `O(1)`. [`step_reference`](ThreeStateProcess::step_reference) retains the
 /// naive full-scan path for differential testing.
 ///
@@ -122,7 +123,7 @@ fn classify<'a>(
 /// # Example
 ///
 /// ```
-/// use mis_core::{ThreeStateProcess, Process, init::InitStrategy};
+/// use mis_core::{Algorithm, ThreeStateProcess, init::InitStrategy};
 /// use mis_graph::{generators, mis_check};
 /// use rand::SeedableRng;
 ///
@@ -213,7 +214,7 @@ impl<'g> ThreeStateProcess<'g> {
         self.strategy
     }
 
-    /// `true` if the most recent [`step`](Process::step) ran the dense
+    /// `true` if the most recent [`step`](Self::step) ran the dense
     /// full-sweep path.
     pub fn last_round_was_dense(&self) -> bool {
         self.last_round_dense
@@ -334,9 +335,33 @@ impl<'g> ThreeStateProcess<'g> {
         self.engine.is_stable(u)
     }
 
+    /// Executes one synchronous round of Definition 5: every active vertex
+    /// re-draws `black1`/`black0`, and a `black0` vertex with a `black1`
+    /// neighbor retires to white. The round takes the dense or the sparse
+    /// path per [`RoundStrategy`] and draws its coins per [`ExecutionMode`];
+    /// [`Algorithm::step`] reaches it under the synchronous scheduler.
+    pub fn step(&mut self, rng: &mut dyn RngCore) {
+        let dense = match self.strategy {
+            RoundStrategy::Sparse => false,
+            RoundStrategy::Dense => true,
+            RoundStrategy::Auto => self.engine.prefers_dense(self.graph.get()),
+        };
+        self.last_round_dense = dense;
+        match (self.mode, dense) {
+            (ExecutionMode::Sequential, false) => self.step_sequential(rng),
+            (ExecutionMode::Sequential, true) => self.step_dense_sequential(rng),
+            (ExecutionMode::Parallel { threads }, false) => {
+                self.step_parallel(resolve_threads(threads))
+            }
+            (ExecutionMode::Parallel { threads }, true) => {
+                self.step_dense_parallel(resolve_threads(threads))
+            }
+        }
+    }
+
     /// Executes one synchronous round with the naive full-scan reference
     /// implementation (`O(n + m)`): identical states and RNG stream as a
-    /// sequential-mode [`step`](Process::step), retained as the oracle for
+    /// sequential-mode [`step`](Self::step), retained as the oracle for
     /// the engine's trace-equality tests.
     pub fn step_reference(&mut self, rng: &mut dyn RngCore) {
         let n = self.n();
@@ -668,7 +693,7 @@ impl<'g> ThreeStateProcess<'g> {
     }
 }
 
-impl Process for ThreeStateProcess<'_> {
+impl Algorithm for ThreeStateProcess<'_> {
     fn n(&self) -> usize {
         self.graph.get().n()
     }
@@ -677,22 +702,10 @@ impl Process for ThreeStateProcess<'_> {
         self.round
     }
 
-    fn step(&mut self, rng: &mut dyn RngCore) {
-        let dense = match self.strategy {
-            RoundStrategy::Sparse => false,
-            RoundStrategy::Dense => true,
-            RoundStrategy::Auto => self.engine.prefers_dense(self.graph.get()),
-        };
-        self.last_round_dense = dense;
-        match (self.mode, dense) {
-            (ExecutionMode::Sequential, false) => self.step_sequential(rng),
-            (ExecutionMode::Sequential, true) => self.step_dense_sequential(rng),
-            (ExecutionMode::Parallel { threads }, false) => {
-                self.step_parallel(resolve_threads(threads))
-            }
-            (ExecutionMode::Parallel { threads }, true) => {
-                self.step_dense_parallel(resolve_threads(threads))
-            }
+    fn step(&mut self, ctx: StepCtx<'_>) {
+        match ctx.activation {
+            Activation::All => self.step(ctx.rng),
+            Activation::Subset(set) => self.step_scheduled(set, ctx.rng),
         }
     }
 
@@ -730,6 +743,55 @@ impl Process for ThreeStateProcess<'_> {
 
     fn random_bits_used(&self) -> u64 {
         self.random_bits
+    }
+
+    fn capabilities(&self) -> Capabilities {
+        Capabilities {
+            topology_change: true,
+            parallel: true,
+            partial_activation: true,
+            fault_injection: true,
+            byzantine: true,
+            trace: true,
+        }
+    }
+
+    fn inject_faults_targeted(&mut self, victims: &[VertexId], rng: &mut dyn RngCore) -> usize {
+        let mut changed = 0;
+        for &u in victims {
+            let state = match uniform3(rng) {
+                0 => ThreeState::Black1,
+                1 => ThreeState::Black0,
+                _ => ThreeState::White,
+            };
+            if self.state(u) != state {
+                changed += 1;
+            }
+            self.set_state(u, state);
+        }
+        changed
+    }
+
+    fn set_byzantine_state(&mut self, u: VertexId, black: bool) -> bool {
+        // Black means the *asserting* black state (Black1): the adversary
+        // claims membership loudly, maximally perturbing the black1
+        // counters its neighbors maintain.
+        let state = if black {
+            ThreeState::Black1
+        } else {
+            ThreeState::White
+        };
+        let changed = self.state(u) != state;
+        self.set_state(u, state);
+        changed
+    }
+
+    fn apply_mutation(&mut self, delta: &GraphDelta) -> Result<CommittedDelta, MutationError> {
+        ThreeStateProcess::apply_mutation(self, delta)
+    }
+
+    fn current_graph(&self) -> Option<&Graph> {
+        Some(self.graph())
     }
 }
 

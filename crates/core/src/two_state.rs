@@ -4,13 +4,14 @@ use mis_graph::{CommittedDelta, Graph, GraphDelta, VertexId, VertexSet};
 use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
 
+use crate::algorithm::{coin, Algorithm, Capabilities, StateCounts, StepCtx};
 use crate::counter_rng::{CounterRng, DRAW_STATE};
 use crate::engine::{FrontierEngine, VertexClass};
 use crate::exec::{resolve_threads, ExecutionMode, RoundStrategy};
 use crate::init::InitStrategy;
 use crate::mutation::{GraphRef, MutationError};
 use crate::packed::PackedStates;
-use crate::process::{Process, StateCounts};
+use crate::scheduler::Activation;
 
 /// Vertex state of the 2-state MIS process: black indicates (tentative)
 /// membership in the MIS.
@@ -80,9 +81,9 @@ fn classify(states: &PackedStates) -> impl Fn(VertexId, u32) -> VertexClass + Sy
 ///
 /// States are stored bit-packed (2 bits per vertex, see
 /// [`PackedStates`]), and rounds are executed through the incremental
-/// [`FrontierEngine`], so a [`step`](Process::step) costs
+/// [`FrontierEngine`], so a [`step`](TwoStateProcess::step) costs
 /// `O(|A_t| + vol(A_t))` rather than `O(n + m)`, and
-/// [`is_stabilized`](Process::is_stabilized) and [`counts`](Process::counts)
+/// [`is_stabilized`](Algorithm::is_stabilized) and [`counts`](Algorithm::counts)
 /// are `O(1)`; [`step_reference`] retains the naive full-scan path for
 /// differential testing.
 ///
@@ -102,7 +103,7 @@ fn classify(states: &PackedStates) -> impl Fn(VertexId, u32) -> VertexClass + Sy
 /// # Example
 ///
 /// ```
-/// use mis_core::{TwoStateProcess, Process, init::InitStrategy};
+/// use mis_core::{Algorithm, TwoStateProcess, init::InitStrategy};
 /// use mis_graph::{generators, mis_check};
 /// use rand::SeedableRng;
 ///
@@ -194,7 +195,7 @@ impl<'g> TwoStateProcess<'g> {
         self.strategy
     }
 
-    /// `true` if the most recent [`step`](Process::step) ran the dense
+    /// `true` if the most recent [`step`](Self::step) ran the dense
     /// full-sweep path (reporting hook for the scale experiment, which
     /// records the round where `auto` switches dense → sparse).
     pub fn last_round_was_dense(&self) -> bool {
@@ -318,11 +319,35 @@ impl<'g> TwoStateProcess<'g> {
         out
     }
 
+    /// Executes one synchronous round of Definition 4: every active vertex
+    /// re-draws its color uniformly at random. The round takes the dense or
+    /// the sparse path per [`RoundStrategy`] and draws its coins per
+    /// [`ExecutionMode`]; [`Algorithm::step`] reaches it under the
+    /// synchronous scheduler.
+    pub fn step(&mut self, rng: &mut dyn RngCore) {
+        let dense = match self.strategy {
+            RoundStrategy::Sparse => false,
+            RoundStrategy::Dense => true,
+            RoundStrategy::Auto => self.engine.prefers_dense(self.graph.get()),
+        };
+        self.last_round_dense = dense;
+        match (self.mode, dense) {
+            (ExecutionMode::Sequential, false) => self.step_sequential(rng),
+            (ExecutionMode::Sequential, true) => self.step_dense_sequential(rng),
+            (ExecutionMode::Parallel { threads }, false) => {
+                self.step_parallel(resolve_threads(threads))
+            }
+            (ExecutionMode::Parallel { threads }, true) => {
+                self.step_dense_parallel(resolve_threads(threads))
+            }
+        }
+    }
+
     /// Executes one synchronous round with the naive full-scan reference
     /// implementation: rescan all vertices, recompute every black-neighbor
     /// count from scratch, `O(n + m)`.
     ///
-    /// Semantically identical to a sequential-mode [`step`](Process::step) —
+    /// Semantically identical to a sequential-mode [`step`](Self::step) —
     /// same states, same RNG stream — and retained as the oracle for the
     /// engine's trace-equality tests.
     pub fn step_reference(&mut self, rng: &mut dyn RngCore) {
@@ -401,7 +426,7 @@ impl<'g> TwoStateProcess<'g> {
     /// uniformly at random against the pre-round configuration, all other
     /// vertices keep their state. Draws happen in ascending vertex order
     /// from the shared stream; a full `scheduled` set consumes exactly the
-    /// coins of a sequential [`step`](Process::step).
+    /// coins of a sequential [`step`](Self::step).
     ///
     /// # Panics
     ///
@@ -546,7 +571,7 @@ impl<'g> TwoStateProcess<'g> {
     }
 }
 
-impl Process for TwoStateProcess<'_> {
+impl Algorithm for TwoStateProcess<'_> {
     fn n(&self) -> usize {
         self.graph.get().n()
     }
@@ -555,22 +580,10 @@ impl Process for TwoStateProcess<'_> {
         self.round
     }
 
-    fn step(&mut self, rng: &mut dyn RngCore) {
-        let dense = match self.strategy {
-            RoundStrategy::Sparse => false,
-            RoundStrategy::Dense => true,
-            RoundStrategy::Auto => self.engine.prefers_dense(self.graph.get()),
-        };
-        self.last_round_dense = dense;
-        match (self.mode, dense) {
-            (ExecutionMode::Sequential, false) => self.step_sequential(rng),
-            (ExecutionMode::Sequential, true) => self.step_dense_sequential(rng),
-            (ExecutionMode::Parallel { threads }, false) => {
-                self.step_parallel(resolve_threads(threads))
-            }
-            (ExecutionMode::Parallel { threads }, true) => {
-                self.step_dense_parallel(resolve_threads(threads))
-            }
+    fn step(&mut self, ctx: StepCtx<'_>) {
+        match ctx.activation {
+            Activation::All => self.step(ctx.rng),
+            Activation::Subset(set) => self.step_scheduled(set, ctx.rng),
         }
     }
 
@@ -607,6 +620,40 @@ impl Process for TwoStateProcess<'_> {
 
     fn random_bits_used(&self) -> u64 {
         self.random_bits
+    }
+
+    fn capabilities(&self) -> Capabilities {
+        Capabilities {
+            topology_change: true,
+            parallel: true,
+            partial_activation: true,
+            fault_injection: true,
+            byzantine: true,
+            trace: true,
+        }
+    }
+
+    fn inject_faults_targeted(&mut self, victims: &[VertexId], rng: &mut dyn RngCore) -> usize {
+        // A fault redraws the color with one coin: black or white.
+        victims
+            .iter()
+            .filter(|&&u| self.set_byzantine_state(u, coin(rng)))
+            .count()
+    }
+
+    fn set_byzantine_state(&mut self, u: VertexId, black: bool) -> bool {
+        let color = if black { Color::Black } else { Color::White };
+        let changed = self.color(u) != color;
+        self.set_color(u, color);
+        changed
+    }
+
+    fn apply_mutation(&mut self, delta: &GraphDelta) -> Result<CommittedDelta, MutationError> {
+        TwoStateProcess::apply_mutation(self, delta)
+    }
+
+    fn current_graph(&self) -> Option<&Graph> {
+        Some(self.graph())
     }
 }
 

@@ -10,7 +10,8 @@
 
 use mis_core::init::InitStrategy;
 use mis_core::{
-    Process, StateCounts, ThreeColorProcess, ThreeState, ThreeStateProcess, TwoStateProcess,
+    Algorithm, StateCounts, StepCtx, ThreeColorProcess, ThreeState, ThreeStateProcess,
+    TwoStateProcess,
 };
 use mis_graph::{generators, Graph, VertexSet};
 use rand::SeedableRng;
@@ -80,7 +81,7 @@ fn black_set_of(g: &Graph, black: impl Fn(usize) -> bool) -> VertexSet {
 /// Drives a (fast, reference) pair lock-step for up to `max_rounds` rounds
 /// and checks the full trace, using `check` to compare and validate the pair
 /// after every round. Returns the number of rounds executed.
-fn drive_pair<P: Process>(
+fn drive_pair<P: Algorithm>(
     fast: &mut P,
     reference: &mut P,
     step_reference: impl Fn(&mut P, &mut ChaCha8Rng),
@@ -92,7 +93,7 @@ fn drive_pair<P: Process>(
     check(fast, reference, 0);
     let mut rounds = 0;
     while !fast.is_stabilized() && rounds < max_rounds {
-        fast.step(r_fast);
+        fast.step(StepCtx::synchronous(r_fast));
         step_reference(reference, r_ref);
         rounds += 1;
         check(fast, reference, rounds);

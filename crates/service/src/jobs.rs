@@ -700,9 +700,10 @@ fn run_job(job: &Arc<Job>) -> Result<RunEnd, String> {
     };
     let start = Instant::now();
     let mut algorithm = factory.init(&graph, &config, &mut rng);
-    *sync::lock(&job.topology_capable) = Some(algorithm.supports_topology_change());
+    let caps = algorithm.capabilities();
+    *sync::lock(&job.topology_capable) = Some(caps.topology_change);
 
-    if !request.scheduler.is_synchronous() && !algorithm.supports_partial_activation() {
+    if !request.scheduler.is_synchronous() && !caps.partial_activation {
         return Err(format!(
             "algorithm '{}' does not support the {} scheduler",
             request.algorithm,
@@ -710,7 +711,7 @@ fn run_job(job: &Arc<Job>) -> Result<RunEnd, String> {
         ));
     }
     let mut scheduler = request.scheduler.build();
-    let trace = request.record_trace && algorithm.supports_trace();
+    let trace = request.record_trace && caps.trace;
     let linger = Duration::from_micros(job.request.linger_micros);
     let mut mutations_applied = 0usize;
     let mut stable_since: Option<Instant> = None;

@@ -84,7 +84,7 @@ fn graph_id(params: &PathParams) -> Result<u64, Response> {
 }
 
 /// Capability metadata for every registry algorithm, derived by probing one
-/// tiny instance per factory (the flags live on instances, not factories).
+/// tiny instance per factory (capabilities live on instances, not factories).
 pub fn algorithm_catalog() -> Vec<AlgorithmInfo> {
     let probe_graph = Graph::from_edges(2, [(0, 1)]).expect("probe graph");
     let config = AlgorithmConfig {
@@ -97,15 +97,15 @@ pub fn algorithm_catalog() -> Vec<AlgorithmInfo> {
         .factories()
         .map(|factory| {
             let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0);
-            let instance = factory.init(&probe_graph, &config, &mut rng);
+            let caps = factory.init(&probe_graph, &config, &mut rng).capabilities();
             AlgorithmInfo {
                 key: factory.key().to_string(),
                 description: factory.description().to_string(),
                 communication_model: factory.communication_model().label().to_string(),
-                supports_topology_change: instance.supports_topology_change(),
-                supports_parallel: instance.supports_parallel(),
-                supports_partial_activation: instance.supports_partial_activation(),
-                supports_trace: instance.supports_trace(),
+                supports_topology_change: caps.topology_change,
+                supports_parallel: caps.parallel,
+                supports_partial_activation: caps.partial_activation,
+                supports_trace: caps.trace,
             }
         })
         .collect()
@@ -402,5 +402,70 @@ mod tests {
         assert!(two_state.supports_trace);
         let greedy = catalog.iter().find(|a| a.key == "greedy").unwrap();
         assert!(!greedy.supports_trace);
+    }
+
+    /// The `/v1/algorithms` capability table, plus the fault-injection,
+    /// Byzantine and states-per-vertex facts the catalog does not carry,
+    /// pinned per builtin key. Fault and Byzantine support are probed by
+    /// behaviour: a total fault changes some state, and a Byzantine override
+    /// that flips vertex 0's blackness reports a change.
+    #[test]
+    fn capability_table_is_pinned() {
+        const FULL: &str = "full-state-exchange";
+        // key, model, topology_change, parallel, partial_activation, trace,
+        // fault_injection, byzantine, states_per_vertex
+        type Row = (
+            &'static str,
+            &'static str,
+            bool,
+            bool,
+            bool,
+            bool,
+            bool,
+            bool,
+            usize,
+        );
+        #[rustfmt::skip]
+        let expected: [Row; 10] = [
+            ("beeping-two-state",     "beeping",         false, false, true,  true,  true,  true,  2),
+            ("greedy",                "centralized",     false, false, false, false, false, false, usize::MAX),
+            ("luby",                  "message-passing", false, false, false, false, false, false, usize::MAX),
+            ("random-priority",       "message-passing", false, false, false, true,  true,  false, 2 << 32),
+            ("sequential-selfstab",   "centralized",     false, false, false, false, false, false, 2),
+            ("stone-age-three-color", "stone-age",       false, false, false, true,  true,  true,  18),
+            ("stone-age-three-state", "stone-age",       false, false, true,  true,  true,  true,  3),
+            ("three-color",           FULL,              true,  true,  false, true,  true,  true,  18),
+            ("three-state",           FULL,              true,  true,  true,  true,  true,  true,  3),
+            ("two-state",             FULL,              true,  true,  true,  true,  true,  true,  2),
+        ];
+        let catalog = algorithm_catalog();
+        let keys: Vec<&str> = catalog.iter().map(|a| a.key.as_str()).collect();
+        let expected_keys: Vec<&str> = expected.iter().map(|row| row.0).collect();
+        assert_eq!(keys, expected_keys);
+
+        let mut setup = rand_chacha::ChaCha8Rng::seed_from_u64(5);
+        let g = mis_graph::generators::gnp(64, 0.1, &mut setup);
+        let config = AlgorithmConfig {
+            init: mis_core::init::InitStrategy::Random,
+            execution: mis_core::ExecutionMode::Sequential,
+            strategy: mis_core::RoundStrategy::Auto,
+            counter_seed: 0,
+        };
+        for (info, row) in catalog.iter().zip(expected) {
+            let (key, model, topology, parallel, partial, trace, fault, byzantine, states) = row;
+            assert_eq!(info.communication_model, model, "{key}");
+            assert_eq!(info.supports_topology_change, topology, "{key}");
+            assert_eq!(info.supports_parallel, parallel, "{key}");
+            assert_eq!(info.supports_partial_activation, partial, "{key}");
+            assert_eq!(info.supports_trace, trace, "{key}");
+
+            let factory = builtin_registry().get(key).unwrap();
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
+            let mut alg = factory.init(&g, &config, &mut rng);
+            assert_eq!(alg.states_per_vertex(), states, "{key}");
+            let black = alg.black_set().contains(0);
+            assert_eq!(alg.set_byzantine_state(0, !black), byzantine, "{key}");
+            assert_eq!(alg.inject_faults(1.0, &mut rng) > 0, fault, "{key}");
+        }
     }
 }

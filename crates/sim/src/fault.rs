@@ -8,7 +8,7 @@
 
 use mis_core::init::InitStrategy;
 use mis_core::{
-    Process, RandomizedLogSwitch, ThreeColor, ThreeColorProcess, ThreeState, ThreeStateProcess,
+    Algorithm, RandomizedLogSwitch, ThreeColor, ThreeColorProcess, ThreeState, ThreeStateProcess,
     TwoStateProcess,
 };
 use mis_graph::Graph;
@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 
 /// A process whose per-vertex state can be corrupted in place, modelling a
 /// transient fault that flips memory contents without restarting the node.
-pub trait Corruptible: Process {
+pub trait Corruptible: Algorithm {
     /// Overwrites the states of `ceil(fraction · n)` uniformly chosen vertices
     /// with uniformly random states.
     ///

@@ -111,7 +111,6 @@ impl<'a> ContainmentTracker<'a> {
         // proves some of them are outside it, without touching the set.
         let contained = alg.counts().unstable <= self.zone_size
             && alg
-                .process()
                 .unstable_set()
                 .iter()
                 .all(|u| self.dist[u] <= CONTAINMENT_RADIUS);
@@ -142,7 +141,7 @@ impl<'a> ContainmentTracker<'a> {
             contained,
             ..ByzantineRoundMetrics::default()
         };
-        for u in alg.process().unstable_set().iter() {
+        for u in alg.unstable_set().iter() {
             let d = self.dist[u];
             if d == UNREACHABLE {
                 metrics.unstable_unreachable += 1;
@@ -259,21 +258,22 @@ fn run_trial_on(
         counter_seed,
     };
     let mut alg = factory.init(graph, &config, &mut rng);
+    let caps = alg.capabilities();
     assert!(
-        spec.scheduler.is_synchronous() || alg.supports_partial_activation(),
+        spec.scheduler.is_synchronous() || caps.partial_activation,
         "algorithm '{key}' does not support the {} scheduler (no partial activation)",
         spec.scheduler.label()
     );
     assert!(
-        spec.fault.is_none() || alg.supports_fault_injection(),
+        spec.fault.is_none() || caps.fault_injection,
         "algorithm '{key}' does not support fault injection"
     );
     assert!(
-        spec.churn.is_none() || alg.supports_topology_change(),
+        spec.churn.is_none() || caps.topology_change,
         "algorithm '{key}' does not support topology changes (churn)"
     );
     assert!(
-        spec.byzantine.is_none() || alg.supports_byzantine(),
+        spec.byzantine.is_none() || caps.byzantine,
         "algorithm '{key}' does not support Byzantine overrides"
     );
 
@@ -287,7 +287,7 @@ fn run_trial_on(
     });
 
     let mut scheduler = spec.scheduler.build();
-    let mut trace_observer = (spec.record_trace && alg.supports_trace()).then(TraceObserver::new);
+    let mut trace_observer = (spec.record_trace && caps.trace).then(TraceObserver::new);
     let mut outcome = {
         let mut observers: Vec<&mut dyn Observer> = Vec::new();
         if let Some(obs) = trace_observer.as_mut() {
@@ -423,9 +423,9 @@ pub struct DriveOutcome {
 /// # Panics
 ///
 /// Panics if `churn` is set but the algorithm's
-/// [`supports_topology_change`](mis_core::Algorithm::supports_topology_change)
+/// [`Capabilities::topology_change`](mis_core::Capabilities::topology_change)
 /// is `false`; if `byzantine` is set but
-/// [`supports_byzantine`](mis_core::Algorithm::supports_byzantine) is
+/// [`Capabilities::byzantine`](mis_core::Capabilities::byzantine) is
 /// `false`; or if a generated burst is rejected by the algorithm (the
 /// burst generator only emits deltas valid for the current graph, so a
 /// rejection indicates a bug, not bad input).
@@ -441,11 +441,11 @@ pub fn drive_algorithm(
     observers: &mut [&mut dyn Observer],
 ) -> DriveOutcome {
     assert!(
-        churn.is_none() || alg.supports_topology_change(),
+        churn.is_none() || alg.capabilities().topology_change,
         "churn was scheduled for an algorithm without topology-change support"
     );
     assert!(
-        byzantine.is_none() || alg.supports_byzantine(),
+        byzantine.is_none() || alg.capabilities().byzantine,
         "a Byzantine overlay was attached to an algorithm without Byzantine support"
     );
     let observe = !observers.is_empty();
@@ -621,7 +621,7 @@ pub fn stabilization_time_two_state(
 ) -> Result<usize, mis_core::StabilizationTimeout> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut proc = mis_core::TwoStateProcess::with_init(graph, init, &mut rng);
-    use mis_core::Process;
+    use mis_core::Algorithm;
     proc.run_to_stabilization(&mut rng, max_rounds)
 }
 
@@ -792,7 +792,7 @@ mod tests {
     fn one_shot_baselines_skip_trace_recording() {
         // The legacy harness reported `trace: None` for Luby/greedy/
         // sequential even when a trace was requested; the registry path
-        // preserves that via the supports_trace capability.
+        // preserves that via the `trace` capability.
         for key in ["luby", "greedy", "sequential-selfstab"] {
             let mut spec = base_spec(key);
             spec.record_trace = true;

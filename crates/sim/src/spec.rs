@@ -384,7 +384,7 @@ impl ChurnScenario {
 /// next re-stabilization.
 ///
 /// Requires an algorithm whose
-/// [`supports_topology_change`](mis_core::Algorithm::supports_topology_change)
+/// [`Capabilities::topology_change`](mis_core::Capabilities::topology_change)
 /// is `true`; the driver rejects churn specs for the others up front.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChurnSpec {
@@ -552,7 +552,7 @@ impl VictimSelection {
 /// the trial (see [`mis_core::byzantine`]).
 ///
 /// Requires an algorithm whose
-/// [`supports_byzantine`](mis_core::Algorithm::supports_byzantine) is
+/// [`Capabilities::byzantine`](mis_core::Capabilities::byzantine) is
 /// `true`; the driver rejects the spec for the others up front. Trials
 /// terminate on *containment* (stabilization outside the 2-neighborhood of
 /// the Byzantine set) instead of global stabilization.

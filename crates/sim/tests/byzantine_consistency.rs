@@ -107,19 +107,21 @@ fn check_process(
         // materialized sets, on every instance.
         for (alg, &t) in algs.iter().zip(threads.iter()) {
             let counts = alg.counts();
-            let p = alg.process();
             let ctx = format!("op {i} (kind {kind}), threads {t}, seed {seed}");
-            prop_assert!(counts.black == p.black_set().len(), "black recount: {ctx}");
             prop_assert!(
-                counts.active == p.active_set().len(),
+                counts.black == alg.black_set().len(),
+                "black recount: {ctx}"
+            );
+            prop_assert!(
+                counts.active == alg.active_set().len(),
                 "active recount: {ctx}"
             );
             prop_assert!(
-                counts.stable_black == p.stable_black_set().len(),
+                counts.stable_black == alg.stable_black_set().len(),
                 "stable-black recount: {ctx}"
             );
             prop_assert!(
-                counts.unstable == p.unstable_set().len(),
+                counts.unstable == alg.unstable_set().len(),
                 "unstable recount: {ctx}"
             );
             prop_assert!(
@@ -138,7 +140,7 @@ fn check_process(
                 "black set diverged: {ctx}"
             );
             prop_assert!(
-                alg.process().unstable_set() == reference.process().unstable_set(),
+                alg.unstable_set() == reference.unstable_set(),
                 "unstable set diverged: {ctx}"
             );
             prop_assert!(

@@ -13,7 +13,7 @@
 
 use mis_core::init::InitStrategy;
 use mis_core::{
-    Process, RandomizedLogSwitch, SwitchProcess, ThreeColorProcess, ThreeStateProcess,
+    Algorithm, RandomizedLogSwitch, SwitchProcess, ThreeColorProcess, ThreeStateProcess,
     TwoStateProcess,
 };
 use mis_graph::{generators, mis_check, Graph};

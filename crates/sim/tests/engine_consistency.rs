@@ -11,8 +11,8 @@
 
 use mis_core::init::InitStrategy;
 use mis_core::{
-    ExecutionMode, FrontierEngine, Process, RoundStrategy, StateCounts, ThreeColor,
-    ThreeColorProcess, ThreeState, ThreeStateProcess, TwoStateProcess,
+    ExecutionMode, FrontierEngine, RoundStrategy, StateCounts, ThreeColor, ThreeColorProcess,
+    ThreeState, ThreeStateProcess, TwoStateProcess,
 };
 use mis_graph::{generators, Graph, VertexSet};
 use mis_sim::fault::Corruptible;

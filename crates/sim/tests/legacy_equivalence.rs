@@ -15,7 +15,7 @@ use mis_baselines::{
     SequentialSelfStabMis,
 };
 use mis_core::init::InitStrategy;
-use mis_core::{Process, ThreeColorProcess, ThreeStateProcess, TwoStateProcess};
+use mis_core::{Algorithm, StepCtx, ThreeColorProcess, ThreeStateProcess, TwoStateProcess};
 use mis_graph::VertexSet;
 use mis_sim::metrics::RoundTrace;
 use mis_sim::runner::run_trial;
@@ -50,7 +50,7 @@ struct LegacyTrial {
 }
 
 /// Frozen copy of the pre-redesign drive loop.
-fn legacy_drive<P: Process>(
+fn legacy_drive<P: Algorithm>(
     mut proc: P,
     rng: &mut ChaCha8Rng,
     max_rounds: usize,
@@ -62,7 +62,7 @@ fn legacy_drive<P: Process>(
     }
     let mut stabilized = proc.is_stabilized();
     while !stabilized && proc.round() < max_rounds {
-        proc.step(rng);
+        proc.step(StepCtx::synchronous(rng));
         if let Some(t) = trace.as_mut() {
             t.counts.push(proc.counts());
         }

@@ -19,7 +19,7 @@
 
 use mis_core::init::InitStrategy;
 use mis_core::{
-    ExecutionMode, Process, StateCounts, ThreeColorProcess, ThreeStateProcess, TwoStateProcess,
+    Algorithm, ExecutionMode, StateCounts, ThreeColorProcess, ThreeStateProcess, TwoStateProcess,
 };
 use mis_graph::{generators, Graph, VertexSet};
 use mis_sim::fault::Corruptible;

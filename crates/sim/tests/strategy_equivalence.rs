@@ -11,7 +11,7 @@
 //! `set_state`), not just along the natural dense → sparse trajectory.
 
 use mis_core::init::InitStrategy;
-use mis_core::{Process, RoundStrategy, ThreeColorProcess, ThreeStateProcess, TwoStateProcess};
+use mis_core::{Algorithm, RoundStrategy, ThreeColorProcess, ThreeStateProcess, TwoStateProcess};
 use mis_graph::{generators, Graph};
 use mis_sim::fault::Corruptible;
 use proptest::prelude::*;

@@ -4,7 +4,7 @@
 default:
     @just --list
 
-# Release build of every target (libs, 17 exp_* bins, 3 benches, examples, tests).
+# Release build of every target (libs, 17 exp_* bins, 2 svc_* bins, 5 benches, examples, tests).
 build:
     cargo build --release --workspace --all-targets
 
@@ -99,6 +99,44 @@ bench-pool:
 # untraced 30 s run: `just perfbench sparse-two-state 1`.
 perfbench WORKLOAD SEED:
     cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml -- --workload {{WORKLOAD}} --seed {{SEED}} --seconds 30 --trace 0
+
+# Net line count against BASE (`just loc main`): lines added, removed and
+# net, split into library sources, tests, and docs/CI, over the working
+# tree (untracked files included; renames are diffed against their old
+# path). Inline `#[cfg(test)]` modules count as tests; top-level Markdown
+# notes other than README.md (change log, roadmap, paper notes) are excluded.
+loc BASE:
+    #!/usr/bin/env bash
+    set -euo pipefail
+    # The lines of `file` at `rev` (empty rev: the working tree) in one part:
+    # `lib` (before the first `#[cfg(test)]`), `test` (from it on) or `all`.
+    part() {
+        local file=$1 rev=$2 want=$3
+        { if [ -z "$rev" ]; then cat -- "$file"; else git show "$rev:$file"; fi; } 2>/dev/null |
+            awk -v want="$want" '/^#\[cfg\(test\)\]/ { t = 1 } want == "all" || want == (t ? "test" : "lib")'
+    }
+    declare -A added removed
+    while IFS=$'\t' read -r status old new; do
+        new=${new:-$old}
+        case "$new" in README.md) ;; */*) ;; *.md) continue ;; esac
+        case "$new" in
+            tests/*.rs | */tests/*.rs | */benches/*.rs) parts="tests:all" ;;
+            *.rs) parts="library:lib tests:test" ;;
+            *) parts="docs/CI:all" ;;
+        esac
+        for entry in $parts; do
+            kind=${entry%%:*} want=${entry#*:}
+            read -r a r < <(diff <(part "$old" "{{BASE}}" "$want") <(part "$new" "" "$want") |
+                awk '/^>/ { a++ } /^</ { r++ } END { print a + 0, r + 0 }')
+            added[$kind]=$(( ${added[$kind]:-0} + a ))
+            removed[$kind]=$(( ${removed[$kind]:-0} + r ))
+        done
+    done < <(git diff -M --name-status "{{BASE}}" --; git ls-files --others --exclude-standard | sed 's/^/A\t/')
+    printf '%-10s %8s %8s %8s\n' kind added removed net
+    for kind in library tests docs/CI; do
+        a=${added[$kind]:-0} r=${removed[$kind]:-0}
+        printf '%-10s %8d %8d %+8d\n' "$kind" "$a" "$r" $(( a - r ))
+    done
 
 # Run one experiment binary at paper scale: `just exp e1_clique`.
 exp NAME *ARGS:

@@ -25,7 +25,7 @@
 //!
 //! ```
 //! use selfstab_mis::graph::generators::gnp;
-//! use selfstab_mis::core::{TwoStateProcess, Process, init::InitStrategy};
+//! use selfstab_mis::core::{Algorithm, TwoStateProcess, init::InitStrategy};
 //! use rand::SeedableRng;
 //! use rand_chacha::ChaCha8Rng;
 //!
