@@ -121,9 +121,9 @@ fn bench_phase_contrast(c: &mut Criterion) {
     group.finish();
 }
 
-/// Early-phase round cost of the counter-based parallel engine at
-/// `n = 10⁶` across 1/2/4/8 worker threads (plus the sequential engine as
-/// the baseline entry). Speedups are bounded by the host's cores; the
+/// Early-phase round cost of the parallel engine at `n = 10⁶` across
+/// 1/2/4/8 worker threads (plus the one-thread `Sequential` mode as the
+/// baseline entry). Speedups are bounded by the host's cores; the
 /// benchmark shape (clone + one round per iteration, identical for every
 /// entry) keeps the comparison fair either way.
 fn bench_parallel_round(c: &mut Criterion) {
@@ -167,9 +167,9 @@ fn bench_parallel_round(c: &mut Criterion) {
     group.finish();
 }
 
-/// Micro-benchmark of the two randomness models: 1M Bernoulli draws from
-/// the sequential ChaCha8 stream vs 1M counter-based Philox draws (the
-/// per-vertex pure function the parallel engine evaluates).
+/// Micro-benchmark of draw cost: 1M Bernoulli draws from a sequential
+/// ChaCha8 stream vs 1M counter-based Philox draws (the per-vertex pure
+/// function every round evaluates).
 fn bench_rng_models(c: &mut Criterion) {
     let mut group = c.benchmark_group("rng_models");
     group.sample_size(20);

@@ -15,7 +15,8 @@
 //!   worklist path is forced, which is expected to lose the dense phase);
 //! * any thread-count determinism check failed;
 //! * on hosts with ≥ 2 cores: best parallel early-phase throughput at
-//!   `n = 10⁵` below the sequential engine's (accidental serialization).
+//!   `n = 10⁵` below the one-thread (`Sequential`) engine's (accidental
+//!   serialization).
 
 use mis_bench::experiments::scale::exp_scale;
 use mis_bench::report::{print_section, write_results_file};
@@ -35,19 +36,19 @@ USAGE: exp_scale [--quick] [--strategy auto|sparse|dense]
   --require-multicore
                 hard-fail (instead of warn) when the host has < 2 cores —
                 for CI configs that promise a multi-core runner, so the
-                parallel-vs-sequential gate can never silently skip
+                parallel-vs-one-thread gate can never silently skip
   --help        print this help
 
-PHASES AND RANDOMNESS MODELS
-  early/late fast+reference  sequential execution: every coin comes from one
-                             shared ChaCha8 stream drawn in ascending vertex
-                             order (bit-identical to step_reference).
-  early parallel sweep       ExecutionMode::Parallel: counter-based
-                             randomness — each vertex's coin is the pure
-                             function Philox(seed, vertex, round) — measured
-                             at 1/2/4/8 worker threads from the same early
-                             snapshot, plus an in-experiment check that all
-                             thread counts produce bit-identical states.
+PHASES AND RANDOMNESS
+  every phase                counter-based randomness: each vertex's coin is
+                             the pure function Philox(seed, vertex, round),
+                             one seed per n, so every mode replays the same
+                             rounds (bit-identical to step_reference).
+  early/late fast+reference  ExecutionMode::Sequential: one thread.
+  early parallel sweep       ExecutionMode::Parallel at 1/2/4/8 worker
+                             threads from the same early snapshot, plus an
+                             in-experiment check that every mode and thread
+                             count produces bit-identical states.
   graph setup                counter-based parallel G(n,p): per-row geometric
                              skips keyed on (seed, row), identical for every
                              worker-thread count.
@@ -55,8 +56,8 @@ PHASES AND RANDOMNESS MODELS
 GATES (non-zero exit)
   late-phase speedup < 5x; early-phase speedup < 1x at any n (skipped when
   --strategy sparse is forced); determinism check failure; and, when the
-  host has >= 2 cores, parallel early-phase throughput at n = 10^5 below
-  sequential.
+  host has >= 2 cores, best parallel early-phase throughput at n = 10^5
+  below the one-thread (Sequential) engine's.
 ";
 
 fn parse_strategy() -> RoundStrategy {
@@ -163,7 +164,7 @@ fn main() {
     }
     // Anti-serialization gate: with real cores available, the parallel
     // engine's early phase at n = 10^5 must not be slower than the
-    // sequential engine. On a single-core host this is unmeasurable (thread
+    // one-thread engine. On a single-core host this is unmeasurable (thread
     // overhead with no parallelism), so it degrades to a warning.
     if let Some(row) = report.row_at(100_000) {
         let best = row
@@ -173,7 +174,7 @@ fn main() {
             .fold(0.0, f64::max);
         if best < row.early.fast_rounds_per_sec {
             let msg = format!(
-                "parallel early phase at n = 10^5 ({best:.0} rounds/s) is below sequential ({:.0} rounds/s)",
+                "parallel early phase at n = 10^5 ({best:.0} rounds/s) is below one thread ({:.0} rounds/s)",
                 row.early.fast_rounds_per_sec
             );
             if report.threads_available >= 2 {

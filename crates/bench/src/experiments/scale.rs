@@ -14,12 +14,14 @@
 //! (active count at most `n / 64`, where the engine should win by orders of
 //! magnitude).
 //!
-//! On top of that it sweeps the **counter-based parallel engine**
+//! On top of that it sweeps the **parallel engine**
 //! ([`ExecutionMode::Parallel`]) over a range of thread counts at the early
-//! phase — the regime where `|A_t| ≈ n` and a sequential-stream round is
-//! serial-bound — recording the rounds/sec trajectory per thread count and
+//! phase — the regime where `|A_t| ≈ n` and a one-thread round is
+//! compute-bound — recording the rounds/sec trajectory per thread count and
 //! verifying in-experiment that the final states are **bit-identical across
-//! thread counts**. Parallel speedups are bounded by the host's cores
+//! modes and thread counts**. Every run draws the same counter coins
+//! (one seed per `n`), so the sweep replays the early phase's exact rounds
+//! on more threads. Parallel speedups are bounded by the host's cores
 //! (recorded as `threads_available`); on a single-core host the sweep still
 //! validates determinism but cannot show wall-clock gains.
 //!
@@ -59,16 +61,15 @@ pub struct PhaseThroughput {
     pub speedup: f64,
 }
 
-/// Early-phase throughput of the counter-based parallel engine at one
-/// thread count.
+/// Early-phase throughput of the parallel engine at one thread count.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ThreadPoint {
     /// Worker threads of the intra-round phases.
     pub threads: usize,
     /// Rounds per second from the early-phase snapshot.
     pub rounds_per_sec: f64,
-    /// Relative to the sequential engine's early-phase throughput
-    /// (`early.fast_rounds_per_sec`).
+    /// Relative to the one-thread (`Sequential`) engine's early-phase
+    /// throughput (`early.fast_rounds_per_sec`).
     pub speedup_vs_sequential: f64,
 }
 
@@ -124,7 +125,7 @@ impl ScaleReport {
         self.rows.last().map_or(0.0, |r| r.late.speedup)
     }
 
-    /// The best parallel early-phase speedup (over the sequential engine) at
+    /// The best parallel early-phase speedup (over the one-thread engine) at
     /// the largest measured `n`.
     pub fn headline_parallel_speedup(&self) -> f64 {
         self.rows.last().map_or(0.0, |r| {
@@ -354,18 +355,19 @@ fn best_rate(
     best
 }
 
-/// Runs `verify_rounds` counter-based rounds at every sweep thread count
-/// from a clone of `proc` and checks that states, black sets, counts, and
-/// random-bit tallies agree bit for bit.
+/// Runs `verify_rounds` rounds in `Sequential` mode and at every sweep
+/// thread count from a clone of `proc` and checks that states, black sets,
+/// counts, and random-bit tallies agree bit for bit.
 fn verify_thread_count_determinism(
     proc: &TwoStateProcess<'_>,
     counter_seed: u64,
     verify_rounds: usize,
 ) -> bool {
     let mut baseline = None;
-    for &threads in &SWEEP_THREADS {
+    let modes = SWEEP_THREADS.map(|threads| ExecutionMode::Parallel { threads });
+    for mode in std::iter::once(ExecutionMode::Sequential).chain(modes) {
         let mut replica = proc.clone();
-        replica.set_execution(ExecutionMode::Parallel { threads }, counter_seed);
+        replica.set_execution(mode, counter_seed);
         let mut unused = ChaCha8Rng::seed_from_u64(0);
         for _ in 0..verify_rounds {
             if replica.is_stabilized() {
@@ -400,8 +402,8 @@ fn verify_thread_count_determinism(
 /// `n / 64` (the late-phase entry), snapshot again, then measure fast and
 /// reference round throughput from both snapshots, sweep the counter-based
 /// parallel engine over [`SWEEP_THREADS`] from the early snapshot, and
-/// verify thread-count determinism. RNG clones guarantee the fast and
-/// reference replays execute the exact same rounds.
+/// verify thread-count determinism. One counter seed per `n` guarantees the
+/// fast, reference and parallel replays execute the exact same rounds.
 ///
 /// # Panics
 ///
@@ -422,7 +424,9 @@ pub fn scale_measurement(
         // dominates wall-clock at n = 10^7, and the keyed per-row streams
         // make the sample independent of the worker-thread count.
         let g = generators::gnp_counter(n, avg_degree / n as f64, seed ^ n as u64);
+        let counter_seed = seed ^ 0xC0DE ^ n as u64;
         let mut proc = TwoStateProcess::with_init(&g, InitStrategy::Random, &mut rng);
+        proc.set_execution(ExecutionMode::Sequential, counter_seed);
         proc.set_strategy(strategy);
         let proc = proc;
 
@@ -430,11 +434,8 @@ pub fn scale_measurement(
         // active. Few rounds per replay — activity decays fast.
         let early = throughput(&proc, &rng, min_time, 40, 3);
 
-        // Counter-based parallel engine from the same early snapshot, one
-        // point per thread count. (Its random trajectory differs from the
-        // sequential stream — counter-based draws — but the workload is the
-        // same high-activity regime.)
-        let counter_seed = seed ^ 0xC0DE ^ n as u64;
+        // Parallel engine from the same early snapshot, one point per thread
+        // count: the same counter coins, hence the same rounds.
         let early_parallel: Vec<ThreadPoint> = SWEEP_THREADS
             .iter()
             .map(|&threads| {

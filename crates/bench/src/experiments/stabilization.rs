@@ -72,7 +72,10 @@ fn spec(
 /// [`e1_clique_tail`].
 pub fn e1_clique(scale: Scale) -> ScalingReport {
     let sizes = scale.sizes(&[32, 64, 128], &[64, 128, 256, 512, 1024, 2048]);
-    let trials = scale.trials(64);
+    // 64 trials at both scales: the quick cliques are tiny, and the
+    // `scale.trials` share of 8 leaves the mean of the heavy-tailed
+    // stabilization time too noisy to fit a growth exponent over three sizes.
+    let trials = 64;
     let table = run_sweep(sizes.into_iter().map(|n| {
         (
             n as f64,

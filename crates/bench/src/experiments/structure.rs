@@ -2,9 +2,9 @@
 //! logarithmic-switch run-length properties (E8).
 
 use mis_core::init::InitStrategy;
-use mis_core::{RandomizedLogSwitch, SwitchProcess};
+use mis_core::{CounterRng, RandomizedLogSwitch, SwitchProcess};
 use mis_graph::{generators, properties};
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
@@ -120,6 +120,7 @@ pub fn e8_log_switch(scale: Scale) -> Vec<SwitchRow> {
         .map(|(label, g)| {
             let diam2 = properties::has_diameter_at_most_2(&g);
             let mut sw = RandomizedLogSwitch::with_init(&g, InitStrategy::Random, zeta, &mut rng);
+            let coins = CounterRng::new(rng.next_u64());
             // Warm-up past the constant synchronization prefix.
             let warmup = 50;
             let mut max_off_total = 0usize;
@@ -129,7 +130,7 @@ pub fn e8_log_switch(scale: Scale) -> Vec<SwitchRow> {
             let mut len = 1usize;
             let mut completed_off_runs_after = 0usize;
             for t in 0..rounds {
-                sw.step(&mut rng);
+                sw.step_counter(&coins, 1);
                 let now_on = sw.is_on(0);
                 if now_on == current_on {
                     len += 1;

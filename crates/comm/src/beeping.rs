@@ -1,8 +1,9 @@
 //! The beeping communication model (full-duplex / sender collision
 //! detection) and the beeping adaptation of the 2-state MIS process.
 
+use mis_core::counter_rng::DRAW_STATE;
 use mis_core::init::InitStrategy;
-use mis_core::{Activation, Algorithm, Capabilities, Color, StateCounts, StepCtx};
+use mis_core::{Activation, Algorithm, Capabilities, Color, CounterRng, StateCounts, StepCtx};
 use mis_graph::{Graph, VertexId, VertexSet};
 use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
@@ -65,11 +66,15 @@ pub fn beep_round(g: &Graph, beeping: &VertexSet) -> Vec<bool> {
 /// The node-local rule never inspects neighbor states, only the channel
 /// feedback; nevertheless it is *trace equivalent* to
 /// [`mis_core::TwoStateProcess`] (same seed, same initial states, same state
-/// sequence), which the test suite checks.
+/// sequence), which the test suite checks: a node draws its coins from the
+/// same counter coordinates `(seed, node, round, DRAW_STATE)`, keyed by
+/// [`set_counter_seed`](Self::set_counter_seed) or, failing that, by one
+/// word of the RNG passed to the first round.
 #[derive(Debug, Clone)]
 pub struct BeepingTwoStateMis<'g> {
     graph: &'g Graph,
     states: Vec<Color>,
+    counter: Option<CounterRng>,
     round: usize,
     random_bits: u64,
 }
@@ -89,9 +94,15 @@ impl<'g> BeepingTwoStateMis<'g> {
         BeepingTwoStateMis {
             graph,
             states,
+            counter: None,
             round: 0,
             random_bits: 0,
         }
+    }
+
+    /// Keys the nodes' coins with `seed` (see the struct docs).
+    pub fn set_counter_seed(&mut self, seed: u64) {
+        self.counter = Some(CounterRng::new(seed));
     }
 
     /// Creates the beeping network with states drawn from an [`InitStrategy`].
@@ -141,24 +152,15 @@ impl<'g> BeepingTwoStateMis<'g> {
     /// Executes one synchronous beeping round: black nodes beep, and every
     /// node that is active given what it heard re-draws its color.
     pub fn step(&mut self, rng: &mut dyn RngCore) {
-        let heard = self.heard();
-        for u in self.graph.vertices() {
-            if Self::node_is_active(self.states[u], heard[u]) {
-                self.random_bits += 1;
-                self.states[u] = if rng.gen_bool(0.5) {
-                    Color::Black
-                } else {
-                    Color::White
-                };
-            }
-        }
-        self.round += 1;
+        let everyone = VertexSet::from_indices(self.graph.n(), self.graph.vertices());
+        self.step_scheduled(&everyone, rng);
     }
 
     /// Executes one beeping round in which only the nodes of `scheduled`
     /// are activated: the channel round happens as usual (every black node
     /// beeps), but only scheduled nodes apply the update rule; all others
-    /// keep their color. A full `scheduled` set is exactly a synchronous
+    /// keep their color. A node draws the coin it would draw in a
+    /// synchronous round, so a full `scheduled` set is exactly a
     /// [`step`](Self::step).
     ///
     /// # Panics
@@ -170,11 +172,13 @@ impl<'g> BeepingTwoStateMis<'g> {
             self.graph.n(),
             "scheduled set universe must match the graph"
         );
+        let counter = CounterRng::get_or_key(&mut self.counter, rng);
+        let round = self.round as u64;
         let heard = self.heard();
         for u in scheduled.iter() {
             if Self::node_is_active(self.states[u], heard[u]) {
                 self.random_bits += 1;
-                self.states[u] = if rng.gen_bool(0.5) {
+                self.states[u] = if counter.gen_bool(0.5, u as u64, round, DRAW_STATE) {
                     Color::Black
                 } else {
                     Color::White
@@ -370,8 +374,8 @@ mod tests {
     #[test]
     fn trace_equivalent_to_direct_two_state_process() {
         // Same graph, same initial states, same seed => identical state
-        // sequences, because the beeping adapter consumes randomness in the
-        // same per-vertex order as the direct process.
+        // sequences, because the beeping adapter draws the same per-vertex
+        // counter coins as the direct process.
         let mut setup_rng = rng(100);
         let g = generators::gnp(80, 0.1, &mut setup_rng);
         let init = InitStrategy::Random.two_state(g.n(), &mut setup_rng);

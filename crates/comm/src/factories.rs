@@ -40,7 +40,9 @@ impl AlgorithmFactory for BeepingTwoStateFactory {
         config: &AlgorithmConfig,
         rng: &mut dyn RngCore,
     ) -> Box<dyn Algorithm + 'g> {
-        Box::new(BeepingTwoStateMis::with_init(graph, config.init, rng))
+        let mut net = BeepingTwoStateMis::with_init(graph, config.init, rng);
+        net.set_counter_seed(config.counter_seed);
+        Box::new(net)
     }
 }
 
@@ -65,7 +67,9 @@ impl AlgorithmFactory for StoneAgeThreeStateFactory {
         config: &AlgorithmConfig,
         rng: &mut dyn RngCore,
     ) -> Box<dyn Algorithm + 'g> {
-        Box::new(StoneAgeThreeStateMis::with_init(graph, config.init, rng))
+        let mut net = StoneAgeThreeStateMis::with_init(graph, config.init, rng);
+        net.set_counter_seed(config.counter_seed);
+        Box::new(net)
     }
 }
 
@@ -90,7 +94,9 @@ impl AlgorithmFactory for StoneAgeThreeColorFactory {
         config: &AlgorithmConfig,
         rng: &mut dyn RngCore,
     ) -> Box<dyn Algorithm + 'g> {
-        Box::new(StoneAgeThreeColorMis::with_init(graph, config.init, rng))
+        let mut net = StoneAgeThreeColorMis::with_init(graph, config.init, rng);
+        net.set_counter_seed(config.counter_seed);
+        Box::new(net)
     }
 }
 

@@ -8,9 +8,11 @@
 //! There is no collision detection and no sender identity.
 
 use mis_core::algorithm::uniform3;
+use mis_core::counter_rng::{DRAW_STATE, DRAW_SWITCH};
 use mis_core::init::InitStrategy;
 use mis_core::{
-    Activation, Algorithm, Capabilities, StateCounts, StepCtx, ThreeColor, ThreeState, DEFAULT_ZETA,
+    Activation, Algorithm, Capabilities, CounterRng, StateCounts, StepCtx, ThreeColor, ThreeState,
+    DEFAULT_ZETA,
 };
 use mis_graph::{Graph, VertexId, VertexSet};
 use rand::{Rng, RngCore};
@@ -66,11 +68,15 @@ pub fn stone_age_round(g: &Graph, transmit: &[Option<u8>], alphabet: usize) -> V
 /// neighbor is black at all.
 ///
 /// Trace equivalent to [`mis_core::ThreeStateProcess`] given the same seed
-/// and initial states.
+/// and initial states: a node draws its coins from the same counter
+/// coordinates `(seed, node, round, DRAW_STATE)`, keyed by
+/// [`set_counter_seed`](Self::set_counter_seed) or, failing that, by one
+/// word of the RNG passed to the first round.
 #[derive(Debug, Clone)]
 pub struct StoneAgeThreeStateMis<'g> {
     graph: &'g Graph,
     states: Vec<ThreeState>,
+    counter: Option<CounterRng>,
     round: usize,
     random_bits: u64,
 }
@@ -94,9 +100,15 @@ impl<'g> StoneAgeThreeStateMis<'g> {
         StoneAgeThreeStateMis {
             graph,
             states,
+            counter: None,
             round: 0,
             random_bits: 0,
         }
+    }
+
+    /// Keys the nodes' coins with `seed` (see the struct docs).
+    pub fn set_counter_seed(&mut self, seed: u64) {
+        self.counter = Some(CounterRng::new(seed));
     }
 
     /// Creates the network with states drawn from an [`InitStrategy`].
@@ -146,28 +158,16 @@ impl<'g> StoneAgeThreeStateMis<'g> {
     /// letter, re-draws `black1`/`black0` when active given what it heard,
     /// and retires `black0 → white` under a `black1` neighbor.
     pub fn step(&mut self, rng: &mut dyn RngCore) {
-        let heard = self.heard();
-        for u in self.graph.vertices() {
-            if Self::node_is_active(self.states[u], &heard[u]) {
-                self.random_bits += 1;
-                self.states[u] = if rng.gen_bool(0.5) {
-                    ThreeState::Black1
-                } else {
-                    ThreeState::Black0
-                };
-            } else if self.states[u] == ThreeState::Black0 {
-                self.states[u] = ThreeState::White;
-            }
-        }
-        self.round += 1;
+        let everyone = VertexSet::from_indices(self.graph.n(), self.graph.vertices());
+        self.step_scheduled(&everyone, rng);
     }
 
     /// Executes one stone-age round in which only the nodes of `scheduled`
     /// are activated: the channel round happens as usual, but only
     /// scheduled nodes apply the update rule (re-draw when active, retire
     /// `black0 → white` under a `black1` neighbor); all others keep their
-    /// state. A full `scheduled` set is exactly a synchronous
-    /// [`step`](Self::step).
+    /// state. A node draws the coin it would draw in a synchronous round, so
+    /// a full `scheduled` set is exactly a [`step`](Self::step).
     ///
     /// # Panics
     ///
@@ -178,11 +178,13 @@ impl<'g> StoneAgeThreeStateMis<'g> {
             self.graph.n(),
             "scheduled set universe must match the graph"
         );
+        let counter = CounterRng::get_or_key(&mut self.counter, rng);
+        let round = self.round as u64;
         let heard = self.heard();
         for u in scheduled.iter() {
             if Self::node_is_active(self.states[u], &heard[u]) {
                 self.random_bits += 1;
-                self.states[u] = if rng.gen_bool(0.5) {
+                self.states[u] = if counter.gen_bool(0.5, u as u64, round, DRAW_STATE) {
                     ThreeState::Black1
                 } else {
                     ThreeState::Black0
@@ -378,13 +380,18 @@ impl Algorithm for StoneAgeThreeStateMis<'_> {
 ///
 /// Trace equivalent to
 /// [`mis_core::ThreeColorProcess`]`<`[`mis_core::RandomizedLogSwitch`]`>`
-/// given the same seed and initial states.
+/// given the same seed and initial states: a node draws its color coin at
+/// `(seed, node, round, DRAW_STATE)` and its switch coin at
+/// `(seed, node, round, DRAW_SWITCH)`, keyed by
+/// [`set_counter_seed`](Self::set_counter_seed) or, failing that, by one
+/// word of the RNG passed to the first round.
 #[derive(Debug, Clone)]
 pub struct StoneAgeThreeColorMis<'g> {
     graph: &'g Graph,
     colors: Vec<ThreeColor>,
     levels: Vec<u8>,
     zeta: f64,
+    counter: Option<CounterRng>,
     round: usize,
     random_bits: u64,
 }
@@ -416,9 +423,15 @@ impl<'g> StoneAgeThreeColorMis<'g> {
             colors,
             levels,
             zeta: DEFAULT_ZETA,
+            counter: None,
             round: 0,
             random_bits: 0,
         }
+    }
+
+    /// Keys the nodes' coins with `seed` (see the struct docs).
+    pub fn set_counter_seed(&mut self, seed: u64) {
+        self.counter = Some(CounterRng::new(seed));
     }
 
     /// Creates the network with colors and levels drawn from an [`InitStrategy`].
@@ -473,15 +486,17 @@ impl<'g> StoneAgeThreeColorMis<'g> {
     /// heard, then advances its switch level from the levels it heard. The
     /// switch is a phase clock, so there is no partial activation.
     pub fn step(&mut self, rng: &mut dyn RngCore) {
+        let counter = CounterRng::get_or_key(&mut self.counter, rng);
+        let round = self.round as u64;
         let heard = self.heard();
         // Color update (uses the switch output of the previous round, i.e.
-        // the current levels), drawing coins in vertex order exactly like the
-        // direct 3-color process.
+        // the current levels), drawing the coins of the direct 3-color
+        // process.
         for u in self.graph.vertices() {
             self.colors[u] = match self.colors[u] {
                 ThreeColor::Black if Self::heard_black(&heard[u]) => {
                     self.random_bits += 1;
-                    if rng.gen_bool(0.5) {
+                    if counter.gen_bool(0.5, u as u64, round, DRAW_STATE) {
                         ThreeColor::Black
                     } else {
                         ThreeColor::Gray
@@ -489,7 +504,7 @@ impl<'g> StoneAgeThreeColorMis<'g> {
                 }
                 ThreeColor::White if !Self::heard_black(&heard[u]) => {
                     self.random_bits += 1;
-                    if rng.gen_bool(0.5) {
+                    if counter.gen_bool(0.5, u as u64, round, DRAW_STATE) {
                         ThreeColor::Black
                     } else {
                         ThreeColor::White
@@ -506,7 +521,7 @@ impl<'g> StoneAgeThreeColorMis<'g> {
             let lvl = self.levels[u];
             let reset = if lvl == 5 {
                 self.random_bits += 7;
-                !rng.gen_bool(self.zeta)
+                !counter.gen_bool(self.zeta, u as u64, round, DRAW_SWITCH)
             } else {
                 false
             };

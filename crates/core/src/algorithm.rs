@@ -121,7 +121,8 @@ impl fmt::Display for CommunicationModel {
 /// Everything an [`Algorithm::step`] may use: the trial RNG stream and the
 /// activation chosen by the scheduler for this round.
 pub struct StepCtx<'a> {
-    /// The shared RNG stream of the trial.
+    /// The shared RNG stream of the trial (the paper's processes read it
+    /// only to key their counter coins when no seed was set).
     pub rng: &'a mut dyn RngCore,
     /// Which vertices the scheduler activated this round.
     pub activation: &'a Activation,
@@ -369,15 +370,29 @@ pub trait Algorithm {
 pub struct AlgorithmConfig {
     /// Initial-state strategy (self-stabilizing algorithms accept any).
     pub init: InitStrategy,
-    /// Sequential shared-stream rounds or counter-based parallel rounds.
+    /// How many threads a round runs on; the results do not depend on it.
     /// Algorithms that do not support parallel execution ignore this.
     pub execution: ExecutionMode,
     /// How full synchronous rounds traverse the graph (adaptive
     /// dense/sparse by default); bit-identical across choices. Algorithms
     /// without a frontier engine ignore this.
     pub strategy: RoundStrategy,
-    /// Seed keying the counter-based RNG of parallel-mode runs.
+    /// Seed keying the counter-based RNG that draws the rounds' coins.
     pub counter_seed: u64,
+}
+
+/// Salt mixed into a trial seed to derive its counter seed, so the counter
+/// key is decorrelated from the ChaCha stream that draws the graph and the
+/// initial states.
+const COUNTER_SEED_SALT: u64 = 0x0005_EEDC_0DE0_FC01;
+
+impl AlgorithmConfig {
+    /// The [`counter_seed`](Self::counter_seed) of the trial seeded
+    /// `trial_seed`. Experiments and service jobs both derive it here, so a
+    /// job and a trial with the same seed share a counter key.
+    pub fn counter_seed_for(trial_seed: u64) -> u64 {
+        trial_seed ^ COUNTER_SEED_SALT
+    }
 }
 
 /// Builds [`Algorithm`] instances for one registry key.

@@ -3,11 +3,11 @@
 //!
 //! The paper's processes are synchronous *parallel* updates — each vertex
 //! flips its own coins, independently of every other vertex. A single
-//! sequential RNG stream (the `rand_chacha` stream the sequential engine
-//! uses) forces an artificial total order on those coin flips: draws must
-//! happen in ascending vertex id or the run is not reproducible, which in
-//! turn serializes the whole round. [`CounterRng`] removes the order
-//! dependency: the value of vertex `u`'s coin in round `t` is
+//! sequential RNG stream would force an artificial total order on those coin
+//! flips: draws would have to happen in ascending vertex id or the run would
+//! not be reproducible, which in turn serializes the whole round.
+//! [`CounterRng`] removes the order dependency: the value of vertex `u`'s
+//! coin in round `t` is
 //!
 //! ```text
 //! word(u, t, i) = philox(key(seed), u, t, i)
@@ -23,7 +23,7 @@
 //! cryptographic PRF, but far beyond the statistical quality the MIS
 //! processes need, and ~1 multiply-chain per draw. Quality is exercised by
 //! the statistical sanity tests below and, indirectly, by every
-//! stabilization test that runs in parallel mode.
+//! stabilization test.
 //!
 //! [Philox]: https://www.thesalmons.org/john/random123/papers/random123sc11.pdf
 
@@ -128,6 +128,14 @@ impl CounterRng {
     #[inline]
     pub fn coin(&self, vertex: u64, round: u64, draw: u64) -> bool {
         self.word(vertex, round, draw) & 1 == 1
+    }
+
+    /// The generator held in `slot`, first keying an empty slot with one
+    /// word of `rng`. A process that no seed was given to keys its coins
+    /// this way on its first round, so runs driven by different streams
+    /// draw independent coins.
+    pub fn get_or_key(slot: &mut Option<CounterRng>, rng: &mut dyn RngCore) -> CounterRng {
+        *slot.get_or_insert_with(|| CounterRng::new(rng.next_u64()))
     }
 
     /// A sequential [`RngCore`] view over the draw axis of one

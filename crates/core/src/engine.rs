@@ -29,18 +29,16 @@
 //! engine costs
 //!
 //! ```text
-//! O(|A_t| log |A_t|  +  vol(C_t)  +  vol(S_t))
+//! O(|A_t|  +  vol(C_t)  +  vol(S_t))
 //! ```
 //!
 //! where `vol(X) = Σ_{u ∈ X} deg(u)` — in particular `O(|A_t| + vol(A_t))`
 //! per round, independent of `n` and `m` — and `is_stabilized()`/`counts()`
-//! are `O(1)`. (The `log` factor comes from keeping the frontier sorted so
-//! random draws happen in ascending vertex order, which keeps the RNG stream
-//! bit-identical to the full-scan reference implementation; the parallel
-//! counter-based path skips the sort, because order-independent randomness
-//! makes the draw order irrelevant.)
+//! are `O(1)`. The frontier is never sorted: every vertex's randomness is a
+//! counter-based draw keyed by the vertex, so the order in which a round
+//! visits the frontier is unobservable.
 //!
-//! # How processes use it (sequential rounds)
+//! # How processes use it
 //!
 //! The engine owns the *state-independent* bookkeeping: the black/non-black
 //! projection, black-neighbor counters, stability tracking, the frontier, and
@@ -49,34 +47,29 @@
 //! its local rule to the engine through a classifier closure
 //! `Fn(VertexId, u32) -> VertexClass` that maps a vertex and its current
 //! black-neighbor count to "is it active?" (will draw a random state) and
-//! "is it pending?" (may change state at all; a superset of active). A round
-//! then is:
+//! "is it pending?" (may change state at all; a superset of active).
 //!
-//! 1. [`begin_round`](FrontierEngine::begin_round) — snapshot the frontier in
-//!    ascending vertex order;
-//! 2. decide every frontier vertex's next state from the *old* state and
-//!    counters, drawing randomness only for active vertices (ascending order
-//!    keeps the stream identical to a full scan);
-//! 3. apply the changed states: [`set_black`](FrontierEngine::set_black) for
-//!    blackness flips (delta-propagates the counters and marks the
-//!    neighborhood dirty), [`mark_dirty`](FrontierEngine::mark_dirty) for
-//!    same-blackness changes;
-//! 4. [`flush`](FrontierEngine::flush) — reclassify the dirty vertices,
-//!    update the cached counts, and repair the frontier.
+//! Out-of-round changes (a partially scheduled round, a fault, a topology
+//! mutation) apply each changed state through
+//! [`set_black`](FrontierEngine::set_black) for blackness flips
+//! (delta-propagates the counters and marks the neighborhood dirty) or
+//! [`mark_dirty`](FrontierEngine::mark_dirty) for same-blackness changes,
+//! then [`flush`](FrontierEngine::flush) to reclassify the dirty vertices,
+//! update the cached counts, and repair the frontier.
 //!
-//! # Parallel rounds (counter-based randomness)
+//! # Rounds (counter-based randomness)
 //!
-//! When each vertex's randomness is a pure function of
-//! `(seed, vertex, round, draw)` (see [`counter_rng`](crate::counter_rng)),
-//! the draw order stops mattering and a round decomposes into data-parallel
-//! phases separated by joins. All engine storage is atomically typed (see
-//! [`sync`](crate::sync)), so the concurrent phases mutate it through
-//! `&self` without locks; every concurrent write is either a commutative
-//! read-modify-write or a write to a slot owned by exactly one thread, which
-//! is what makes the result **bit-identical for every thread count**:
+//! Each vertex's randomness is a pure function of `(seed, vertex, round,
+//! draw)` (see [`counter_rng`](crate::counter_rng)), so a round decomposes
+//! into data-parallel phases separated by joins. All engine storage is
+//! atomically typed (see [`sync`](crate::sync)), so the concurrent phases
+//! mutate it through `&self` without locks; every concurrent write is
+//! either a commutative read-modify-write or a write to a slot owned by
+//! exactly one thread, which is what makes the result **bit-identical for
+//! every thread count** (one thread runs the same phases inline):
 //!
-//! 1. [`begin_round_unsorted`](FrontierEngine::begin_round_unsorted) —
-//!    compact the frontier without sorting;
+//! 1. [`begin_round`](FrontierEngine::begin_round) — compact the frontier
+//!    into the round's worklist;
 //! 2. a **fused decide+scatter dispatch** ([`par_round`](FrontierEngine::par_round)):
 //!    workers claim worklist chunks from per-worker work-stealing deques
 //!    ([`rayon::ChunkQueue`]), compute next states from old states/cached
@@ -173,8 +166,8 @@ struct FlushScratch {
 /// delta-maintained neighbor counters, stability tracking, the active
 /// frontier, and cached [`StateCounts`].
 ///
-/// See the [module documentation](self) for the sequential and parallel
-/// round protocols and the complexity contract.
+/// See the [module documentation](self) for the round protocol and the
+/// complexity contract.
 #[derive(Debug, Clone)]
 pub struct FrontierEngine {
     n: usize,
@@ -568,9 +561,12 @@ impl FrontierEngine {
     }
 
     /// Compacts the frontier (dropping vertices that stopped pending) and
-    /// copies it into `out`, sorting it in ascending vertex order when
-    /// `sort` is set.
-    fn begin_round_impl(&mut self, out: &mut Vec<VertexId>, sort: bool) {
+    /// copies it into `out`, in no particular order: `O(|A_t|)`.
+    ///
+    /// The copy lets the caller iterate the round's worklist while mutating
+    /// the engine. Order does not matter because every coin is a
+    /// counter-based draw keyed by its vertex.
+    pub fn begin_round(&mut self, out: &mut Vec<VertexId>) {
         debug_assert!(self.dirty.is_empty(), "flush must run before begin_round");
         let flags = &self.flags;
         let contains = &self.frontier_contains;
@@ -582,28 +578,8 @@ impl FrontierEngine {
                 false
             }
         });
-        if sort {
-            self.frontier.sort_unstable();
-        }
         out.clear();
         out.extend_from_slice(&self.frontier);
-    }
-
-    /// Compacts the frontier (dropping vertices that stopped pending), sorts
-    /// it in ascending vertex order, and copies it into `out`.
-    ///
-    /// The copy lets the caller iterate the round's worklist while mutating
-    /// the engine; `O(|A_t| log |A_t|)`. Sequential rounds need the order so
-    /// the shared RNG stream is drawn in ascending vertex id.
-    pub fn begin_round(&mut self, out: &mut Vec<VertexId>) {
-        self.begin_round_impl(out, true);
-    }
-
-    /// Like [`begin_round`](Self::begin_round) but without the sort:
-    /// `O(|A_t|)`. Correct only when the round's randomness does not depend
-    /// on draw order (the counter-based parallel path).
-    pub fn begin_round_unsorted(&mut self, out: &mut Vec<VertexId>) {
-        self.begin_round_impl(out, false);
     }
 
     /// Extends the engine to `new_n` vertices — topology growth support.
@@ -1287,6 +1263,14 @@ mod tests {
         assert_eq!(e.counts(), fresh.counts());
     }
 
+    /// The engine's round worklist, sorted for comparison.
+    fn worklist(e: &mut FrontierEngine) -> Vec<VertexId> {
+        let mut out = Vec::new();
+        e.begin_round(&mut out);
+        out.sort_unstable();
+        out
+    }
+
     /// Asserts every piece of engine bookkeeping agrees between two engines.
     fn assert_engines_agree(a: &FrontierEngine, b: &FrontierEngine, ctx: &str) {
         assert_eq!(a.n(), b.n(), "{ctx}");
@@ -1353,12 +1337,7 @@ mod tests {
             dense.frontier_len(),
             (0..36).filter(|&u| dense.is_pending(u)).count()
         );
-        // A recount leaves the frontier sorted; begin_round sees it intact.
-        let mut wl_dense = Vec::new();
-        let mut wl_delta = Vec::new();
-        dense.begin_round(&mut wl_dense);
-        delta.begin_round(&mut wl_delta);
-        assert_eq!(wl_dense, wl_delta);
+        assert_eq!(worklist(&mut dense), worklist(&mut delta));
     }
 
     #[test]
@@ -1378,11 +1357,11 @@ mod tests {
             }
             parallel.recount_par(&g, threads, two_state_like(&black));
             assert_engines_agree(&sequential, &parallel, &format!("threads {threads}"));
-            let mut wl_seq = Vec::new();
-            let mut wl_par = Vec::new();
-            sequential.begin_round(&mut wl_seq);
-            parallel.begin_round(&mut wl_par);
-            assert_eq!(wl_seq, wl_par, "threads {threads}");
+            assert_eq!(
+                worklist(&mut sequential),
+                worklist(&mut parallel),
+                "threads {threads}"
+            );
         }
     }
 
@@ -1423,7 +1402,7 @@ mod tests {
         let mut e = FrontierEngine::new(n);
         e.rebuild(&g, |u| black[u], two_state_like(&black));
         let mut worklist = Vec::new();
-        e.begin_round_unsorted(&mut worklist);
+        e.begin_round(&mut worklist);
         assert!(worklist.len() >= crate::exec::PAR_WORK_THRESHOLD);
         let pool = rayon::global_pool(threads);
         let before = pool.stats();
@@ -1512,23 +1491,21 @@ mod tests {
                 assert_eq!(parallel.is_pending(u), sequential.is_pending(u));
             }
             assert_eq!(parallel.counts(), sequential.counts(), "threads {threads}");
-            let mut wl_par = Vec::new();
-            let mut wl_seq = Vec::new();
-            parallel.begin_round(&mut wl_par);
-            sequential.begin_round(&mut wl_seq);
-            assert_eq!(wl_par, wl_seq, "threads {threads}");
+            assert_eq!(
+                worklist(&mut parallel),
+                worklist(&mut sequential),
+                "threads {threads}"
+            );
         }
     }
 
     #[test]
-    fn begin_round_is_sorted_and_deduplicated() {
+    fn begin_round_is_deduplicated() {
         let g = generators::complete(6);
         let black = vec![true; 6];
         let mut e = FrontierEngine::new(6);
         e.rebuild(&g, |u| black[u], two_state_like(&black));
-        let mut out = Vec::new();
-        e.begin_round(&mut out);
-        assert_eq!(out, vec![0, 1, 2, 3, 4, 5]);
+        assert_eq!(worklist(&mut e), vec![0, 1, 2, 3, 4, 5]);
         // Leaving and re-entering the frontier must not duplicate entries.
         let mut black2 = black.clone();
         black2[3] = false; // 3 becomes white with black nbrs: not pending
@@ -1537,13 +1514,11 @@ mod tests {
         black2[3] = true;
         e.set_black(&g, 3, true);
         e.flush(&g, two_state_like(&black2));
+        let mut out = Vec::new();
         e.begin_round(&mut out);
+        assert_eq!(out.len(), 6);
+        out.sort_unstable();
         assert_eq!(out, vec![0, 1, 2, 3, 4, 5]);
-        // The unsorted variant returns the same set.
-        let mut unsorted = Vec::new();
-        e.begin_round_unsorted(&mut unsorted);
-        unsorted.sort_unstable();
-        assert_eq!(unsorted, vec![0, 1, 2, 3, 4, 5]);
     }
 
     #[test]
@@ -1582,11 +1557,7 @@ mod tests {
         let mut fresh = FrontierEngine::new(c.new_n);
         fresh.rebuild(&g2, |u| black[u], two_state_like(&black));
         assert_engines_agree(&e, &fresh, "incremental migration vs rebuild");
-        let mut wl_inc = Vec::new();
-        let mut wl_fresh = Vec::new();
-        e.begin_round(&mut wl_inc);
-        fresh.begin_round(&mut wl_fresh);
-        assert_eq!(wl_inc, wl_fresh);
+        assert_eq!(worklist(&mut e), worklist(&mut fresh));
     }
 
     #[test]

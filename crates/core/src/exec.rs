@@ -1,34 +1,29 @@
-//! Execution modes for the round engine: the sequential-stream contract vs
-//! counter-based intra-round parallelism.
+//! Execution modes for the round engine: how many threads a round runs on.
 //!
-//! The repository supports two randomness models (see the README section
-//! "Two randomness models"):
+//! The repository has one randomness model (see the README section "The
+//! randomness model and the determinism contract"): every vertex's coin is
+//! a pure function of `(run_seed, vertex, round, draw)` via
+//! [`CounterRng`](crate::counter_rng::CounterRng), so draw order is
+//! irrelevant and a round can be computed by any number of threads. The
+//! mode only picks that number; results are **bit-identical for every
+//! mode and thread count**, and to the full-scan `step_reference` oracles.
 //!
-//! * [`ExecutionMode::Sequential`] — every coin comes from one shared
-//!   sequential RNG stream, drawn in ascending vertex order. This is the
-//!   historical contract: `step` is bit-identical to the full-scan
-//!   `step_reference` oracle for the same seed. One round cannot use more
-//!   than one core.
-//! * [`ExecutionMode::Parallel`] — every vertex's coin is a pure function
-//!   of `(run_seed, vertex, round, draw)` via
-//!   [`CounterRng`](crate::counter_rng::CounterRng), so draw order is
-//!   irrelevant and a round can be computed by any number of threads.
-//!   Results are **bit-identical for every thread count** (including 1),
-//!   but follow a different (equally valid) random trajectory than the
-//!   sequential stream.
+//! * [`ExecutionMode::Sequential`] — one thread, exactly
+//!   `Parallel { threads: 1 }`.
+//! * [`ExecutionMode::Parallel`] — `threads` worker threads (`0` detects
+//!   the core count).
 
 use serde::{Deserialize, Serialize};
 
 /// How a process executes its synchronous rounds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum ExecutionMode {
-    /// One shared sequential RNG stream, ascending vertex order; exactly the
-    /// trace the `step_reference` oracles reproduce.
+    /// Rounds on one thread, identical to `Parallel { threads: 1 }`.
     #[default]
     Sequential,
-    /// Counter-based per-vertex randomness with intra-round data parallelism
-    /// on `threads` threads. `threads = 1` runs the same counter-based logic
-    /// inline; results are identical for every `threads` value.
+    /// Rounds with intra-round data parallelism on `threads` threads.
+    /// `threads = 1` runs the same logic inline; results are identical for
+    /// every `threads` value.
     Parallel {
         /// Number of worker threads for the intra-round phases.
         threads: usize,
@@ -101,7 +96,7 @@ impl ExecutionMode {
 ///
 /// This is the Beamer-style push–pull idea applied to the round engine: the
 /// sparse path costs `O(|A_t| + vol(A_t))` but pays for frontier
-/// bookkeeping, sorting, and scattered delta updates per touched edge, while
+/// bookkeeping and scattered delta updates per touched edge, while
 /// the dense path streams the whole packed state array and recounts every
 /// counter in `O(n + m)` with perfectly predictable memory traffic. When
 /// nearly every vertex is active (the early phase of a self-stabilizing run
@@ -111,10 +106,10 @@ impl ExecutionMode {
 /// volume against `(n + 2m) / DENSE_SWITCH_DIVISOR` every round and picks
 /// accordingly.
 ///
-/// The choice never changes results: both paths draw the same coins for the
-/// same vertices in the same (ascending) order in sequential execution, and
-/// counter-based draws are order-independent in parallel execution, so
-/// `auto`, forced `sparse`, and forced `dense` are bit-identical.
+/// The choice never changes results: both paths draw the same
+/// counter-based coins for the same vertices, and those draws do not depend
+/// on order, so `auto`, forced `sparse`, and forced `dense` are
+/// bit-identical.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum RoundStrategy {
     /// Per-round direction optimization: dense while the frontier is a
@@ -176,7 +171,7 @@ impl Deserialize for RoundStrategy {
 /// when `|F_t| + vol(F_t) ≥ (n + 2m) / DENSE_SWITCH_DIVISOR`, where `F_t` is
 /// the pending frontier and `vol` sums degrees. The sparse path costs
 /// several times more per touched edge than the dense sweep's streaming
-/// recount (frontier sort, scattered counter deltas, dirty-queue churn), so
+/// recount (scattered counter deltas, dirty-queue churn), so
 /// the crossover sits well below `|F_t| ≈ n`; 8 was tuned on the
 /// `exp_scale` G(n, 8/n) family.
 pub const DENSE_SWITCH_DIVISOR: usize = 8;

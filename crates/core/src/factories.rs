@@ -193,9 +193,13 @@ mod tests {
         let init = InitStrategy::Random.two_state(g.n(), &mut setup);
         let mut sync_proc = TwoStateProcess::new(&g, init.clone());
         let mut sched_proc = TwoStateProcess::new(&g, init);
+        // Counter draws: the scheduled round, on one thread, must draw the
+        // coins of a two-thread synchronous round.
+        sync_proc.set_execution(ExecutionMode::Parallel { threads: 2 }, 19);
+        sched_proc.set_execution(ExecutionMode::Sequential, 19);
         let everyone = VertexSet::from_indices(g.n(), 0..g.n());
         let mut ra = rng(19);
-        let mut rb = rng(19);
+        let mut rb = rng(20);
         for round in 0..60 {
             if sync_proc.is_stabilized() {
                 break;
@@ -214,9 +218,13 @@ mod tests {
         let init = InitStrategy::Random.three_state(g.n(), &mut setup);
         let mut sync_proc = ThreeStateProcess::new(&g, init.clone());
         let mut sched_proc = ThreeStateProcess::new(&g, init);
+        // Counter draws: the scheduled round, on one thread, must draw the
+        // coins of a two-thread synchronous round.
+        sync_proc.set_execution(ExecutionMode::Parallel { threads: 2 }, 29);
+        sched_proc.set_execution(ExecutionMode::Sequential, 29);
         let everyone = VertexSet::from_indices(g.n(), 0..g.n());
         let mut ra = rng(29);
-        let mut rb = rng(29);
+        let mut rb = rng(30);
         for round in 0..60 {
             if sync_proc.is_stabilized() {
                 break;

@@ -27,8 +27,8 @@
 //! active-frontier worklist, and cached counts, so one round costs
 //! `O(|A_t| + vol(A_t))` instead of `O(n + m)` and the stabilization check is
 //! `O(1)`. Every process also retains a naive `step_reference` full-scan
-//! path that is bit-identical (same states, same RNG stream) and serves as
-//! the oracle for the engine's trace-equality tests.
+//! path that is bit-identical (same states, same coins) and serves as the
+//! oracle for the engine's trace-equality tests.
 //!
 //! On top of that, rounds are **direction-optimizing** ([`RoundStrategy`]):
 //! when the frontier is a constant fraction of the graph (the dense early
@@ -38,15 +38,13 @@
 //! once the frontier collapses. The adaptive choice is bit-identical to
 //! forcing either path.
 //!
-//! Each process supports two [`ExecutionMode`]s. The default
-//! `Sequential` mode draws every coin from one shared RNG stream in
-//! ascending vertex order (the `step_reference` contract above). `Parallel`
-//! mode switches to **counter-based per-vertex randomness**
-//! ([`counter_rng`]): each vertex's coin is a pure function of
-//! `(run_seed, vertex, round, draw)`, draw order becomes irrelevant, rounds
-//! run in data-parallel phases, and the results are **bit-identical for
-//! every thread count**. Vertex states are stored bit-packed at 2 bits per
-//! vertex ([`packed`]).
+//! Every coin is **counter-based per-vertex randomness** ([`counter_rng`]):
+//! each vertex's coin is a pure function of `(run_seed, vertex, round,
+//! draw)`, so draw order is irrelevant and rounds run in data-parallel
+//! phases. The [`ExecutionMode`] only picks the thread count (`Sequential`,
+//! the default, is one thread), and the results are **bit-identical for
+//! every mode and thread count**. Vertex states are stored bit-packed at 2
+//! bits per vertex ([`packed`]).
 //!
 //! # Example
 //!

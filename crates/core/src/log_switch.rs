@@ -38,14 +38,10 @@ pub trait SwitchProcess: Sync {
     /// Number of vertices.
     fn n(&self) -> usize;
 
-    /// Executes one synchronous round of the switch.
-    fn step(&mut self, rng: &mut dyn RngCore);
-
-    /// Executes one synchronous round with counter-based randomness: every
-    /// coin is the pure function `counter(vertex, round, DRAW_SWITCH)` of
-    /// the switch's own round number, so the result is independent of
-    /// evaluation order and `threads`. The level update is data-parallel
-    /// over vertex ranges.
+    /// Executes one synchronous round of the switch. Every coin is the pure
+    /// function `counter(vertex, round, DRAW_SWITCH)` of the switch's own
+    /// round number, so the result is independent of evaluation order and
+    /// `threads`. The level update is data-parallel over vertex ranges.
     fn step_counter(&mut self, counter: &CounterRng, threads: usize);
 
     /// The switch output `σ_t(u)` for the current round: `true` means `on`.
@@ -98,14 +94,15 @@ pub trait SwitchProcess: Sync {
 /// # Example
 ///
 /// ```
-/// use mis_core::{RandomizedLogSwitch, SwitchProcess, DEFAULT_ZETA, init::InitStrategy};
+/// use mis_core::{CounterRng, RandomizedLogSwitch, SwitchProcess, DEFAULT_ZETA, init::InitStrategy};
 /// use mis_graph::generators;
 /// use rand::SeedableRng;
 ///
 /// let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(2);
 /// let g = generators::complete(50);
 /// let mut sw = RandomizedLogSwitch::with_init(&g, InitStrategy::Random, DEFAULT_ZETA, &mut rng);
-/// for _ in 0..100 { sw.step(&mut rng); }
+/// let coins = CounterRng::new(2);
+/// for _ in 0..100 { sw.step_counter(&coins, 1); }
 /// let _on = sw.is_on(0);
 /// ```
 #[derive(Debug, Clone)]
@@ -189,35 +186,6 @@ impl<'g> RandomizedLogSwitch<'g> {
 impl SwitchProcess for RandomizedLogSwitch<'_> {
     fn n(&self) -> usize {
         self.graph.get().n()
-    }
-
-    fn step(&mut self, rng: &mut dyn RngCore) {
-        for u in self.graph.get().vertices() {
-            let lvl = self.levels[u];
-            let reset = if lvl == 5 {
-                // b = 0 with probability ζ; b = 1 keeps the vertex at level 5.
-                self.random_bits += 7; // ζ = 2⁻⁷ needs at most 7 bits
-                !rng.gen_bool(self.zeta)
-            } else {
-                false
-            };
-            self.next[u] = if reset || lvl == 0 {
-                5
-            } else {
-                let max_nbr = self
-                    .graph
-                    .get()
-                    .neighbors(u)
-                    .iter()
-                    .map(|v| self.levels[v])
-                    .max()
-                    .unwrap_or(0)
-                    .max(lvl);
-                max_nbr - 1
-            };
-        }
-        std::mem::swap(&mut self.levels, &mut self.next);
-        self.round += 1;
     }
 
     fn step_counter(&mut self, counter: &CounterRng, threads: usize) {
@@ -357,12 +325,8 @@ impl SwitchProcess for FixedPeriodSwitch {
         self.n
     }
 
-    fn step(&mut self, _rng: &mut dyn RngCore) {
-        self.round += 1;
-    }
-
     fn step_counter(&mut self, _counter: &CounterRng, _threads: usize) {
-        // The oracle switch is deterministic: counter mode is the same step.
+        // The oracle switch is deterministic: it draws nothing.
         self.round += 1;
     }
 
@@ -403,14 +367,14 @@ mod tests {
         sw: &mut RandomizedLogSwitch<'_>,
         u: VertexId,
         rounds: usize,
-        rng: &mut ChaCha8Rng,
+        coins: &CounterRng,
     ) -> (Vec<usize>, Vec<usize>) {
         let mut on_runs = Vec::new();
         let mut off_runs = Vec::new();
         let mut current_on = sw.is_on(u);
         let mut len = 1usize;
         for _ in 0..rounds {
-            sw.step(rng);
+            sw.step_counter(coins, 1);
             let now_on = sw.is_on(u);
             if now_on == current_on {
                 len += 1;
@@ -446,15 +410,16 @@ mod tests {
         let g = generators::star(20);
         let mut r = rng(1);
         let mut sw = RandomizedLogSwitch::with_init(&g, InitStrategy::Random, DEFAULT_ZETA, &mut r);
+        let coins = CounterRng::new(1);
         for _ in 0..500 {
-            sw.step(&mut r);
+            sw.step_counter(&coins, 1);
             for u in g.vertices() {
                 assert!(sw.level(u) <= 5);
             }
         }
         // A vertex forced to level 0 must be at level 5 after one step.
         sw.set_level(3, 0);
-        sw.step(&mut r);
+        sw.step_counter(&coins, 1);
         assert_eq!(sw.level(3), 5);
     }
 
@@ -467,7 +432,7 @@ mod tests {
         let a = 4.0 / zeta;
         let mut r = rng(2);
         let mut sw = RandomizedLogSwitch::with_init(&g, InitStrategy::Random, zeta, &mut r);
-        let (_, off_runs) = run_lengths(&mut sw, 0, 4000, &mut r);
+        let (_, off_runs) = run_lengths(&mut sw, 0, 4000, &CounterRng::new(2));
         assert!(!off_runs.is_empty());
         let max_off = off_runs.iter().copied().max().unwrap();
         assert!(
@@ -487,11 +452,12 @@ mod tests {
         let a = 4.0 / zeta;
         let mut r = rng(3);
         let mut sw = RandomizedLogSwitch::with_init(&g, InitStrategy::Random, zeta, &mut r);
+        let coins = CounterRng::new(3);
         // Warm up past the synchronization point (t* + 2 ≤ 7 in the proof).
         for _ in 0..50 {
-            sw.step(&mut r);
+            sw.step_counter(&coins, 1);
         }
-        let (on_runs, off_runs) = run_lengths(&mut sw, 0, 4000, &mut r);
+        let (on_runs, off_runs) = run_lengths(&mut sw, 0, 4000, &coins);
         assert!(!on_runs.is_empty() && !off_runs.is_empty());
         assert!(
             on_runs.iter().all(|&l| l <= 3),
@@ -515,11 +481,12 @@ mod tests {
         let g = generators::complete(40);
         let mut r = rng(4);
         let mut sw = RandomizedLogSwitch::with_init(&g, InitStrategy::Random, DEFAULT_ZETA, &mut r);
+        let coins = CounterRng::new(4);
         for _ in 0..20 {
-            sw.step(&mut r);
+            sw.step_counter(&coins, 1);
         }
         for _ in 0..2000 {
-            sw.step(&mut r);
+            sw.step_counter(&coins, 1);
             if let Some(low) = g.vertices().map(|u| sw.level(u)).find(|&l| l <= 2) {
                 assert!(
                     g.vertices().all(|u| sw.level(u) == low),
@@ -554,11 +521,10 @@ mod tests {
     #[test]
     fn fixed_period_switch_cycles() {
         let mut sw = FixedPeriodSwitch::new(5, 2, 3);
-        let mut r = rng(0);
         let mut pattern = Vec::new();
         for _ in 0..10 {
             pattern.push(sw.is_on(0));
-            sw.step(&mut r);
+            sw.step_counter(&CounterRng::new(0), 1);
         }
         assert_eq!(
             pattern,

@@ -8,7 +8,7 @@
 //! [`PackedStates`] stores the 2-bit state codes in `AtomicU64` words so the
 //! parallel decide phase can write states of *distinct* vertices through
 //! `&self` concurrently (word-level atomic RMWs on disjoint bit ranges
-//! compose exactly); the sequential paths use the same storage uncontended.
+//! compose exactly); the inline paths use the same storage uncontended.
 //!
 //! The mapping between a process's state enum and its 2-bit code is owned by
 //! the process (see `code`/`from_code` on each state enum).
@@ -107,22 +107,6 @@ impl PackedStates {
         }
     }
 
-    /// Overwrites the 2-bit code of vertex `u` through `&mut self`: a plain
-    /// load + store on the containing word instead of the two atomic RMWs of
-    /// [`set`](Self::set), for the exclusive sequential round paths.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` is out of range or `code > 3`.
-    #[inline]
-    pub fn set_mut(&mut self, u: usize, code: u8) {
-        debug_assert!(u < self.n, "vertex {u} out of range (n = {})", self.n);
-        assert!(code <= 3, "state code {code} does not fit in 2 bits");
-        let shift = (u % PER_WORD) * 2;
-        let word = self.words[u / PER_WORD].get_mut();
-        *word = (*word & !(0b11u64 << shift)) | (u64::from(code) << shift);
-    }
-
     /// Decodes the whole vector through `f` into a `Vec` (an `O(n)`
     /// materialization, used by the `states()`-style accessors).
     pub fn decode<T>(&self, f: impl Fn(u8) -> T) -> Vec<T> {
@@ -180,15 +164,15 @@ mod tests {
     }
 
     #[test]
-    fn set_mut_matches_set() {
-        let mut p = PackedStates::new(70);
+    fn set_overwrites_only_its_bit_pair() {
+        let p = PackedStates::new(70);
         for u in 0..70 {
-            p.set_mut(u, (u % 4) as u8);
+            p.set(u, (u % 4) as u8);
         }
         for u in 0..70 {
             assert_eq!(p.get(u), (u % 4) as u8, "vertex {u}");
         }
-        p.set_mut(3, 0);
+        p.set(3, 0);
         assert_eq!(p.get(3), 0);
         assert_eq!(p.get(2), 2, "neighboring bit pairs untouched");
     }

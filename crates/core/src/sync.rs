@@ -63,7 +63,7 @@ impl AtomicU32Vec {
     }
 
     /// Adds `delta` to element `i` through `&mut self` — a plain (non
-    /// lock-prefixed) read-modify-write for the exclusive sequential paths,
+    /// lock-prefixed) read-modify-write for the exclusive inline paths,
     /// where the atomic `fetch_add` would cost a bus lock per edge.
     #[inline]
     pub fn add_mut(&mut self, i: usize, delta: u32) {
@@ -149,7 +149,7 @@ impl AtomicFlagVec {
     }
 
     /// [`test_and_set`](Self::test_and_set) through `&mut self`: a plain
-    /// load + store instead of an atomic swap, for the exclusive sequential
+    /// load + store instead of an atomic swap, for the exclusive inline
     /// paths.
     #[inline]
     pub fn test_and_set_mut(&mut self, i: usize) -> bool {
@@ -229,7 +229,7 @@ impl AtomicU8Vec {
     }
 
     /// Toggles the bits in `mask` on element `i` through `&mut self` (plain
-    /// RMW, no bus lock) — for the exclusive sequential paths.
+    /// RMW, no bus lock) — for the exclusive inline paths.
     #[inline]
     pub fn xor_mut(&mut self, i: usize, mask: u8) {
         *self.data[i].get_mut() ^= mask;

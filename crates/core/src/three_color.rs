@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 use crate::algorithm::{uniform3, Algorithm, Capabilities, StateCounts, StepCtx};
 use crate::counter_rng::{CounterRng, DRAW_STATE};
 use crate::engine::{FrontierEngine, VertexClass};
-use crate::exec::{resolve_threads, ExecutionMode, RoundStrategy};
+use crate::exec::{ExecutionMode, RoundStrategy};
 use crate::init::InitStrategy;
 use crate::log_switch::{RandomizedLogSwitch, SwitchProcess, DEFAULT_ZETA};
 use crate::mutation::{GraphRef, MutationError};
@@ -60,6 +60,12 @@ impl ThreeColor {
     }
 }
 
+/// Vertex `u`'s color coin in `round` (its [`DRAW_STATE`] draw): an active
+/// black vertex stays black on heads, an active white vertex turns black.
+fn heads(counter: &CounterRng, u: VertexId, round: u64) -> bool {
+    counter.gen_bool(0.5, u as u64, round, DRAW_STATE)
+}
+
 /// The 3-color local rule. Black/white vertices are active (and pending) by
 /// the 2-state rule; gray vertices never draw but stay pending while they
 /// wait for their switch to release them to white.
@@ -107,20 +113,18 @@ fn classify(colors: &PackedStates) -> impl Fn(VertexId, u32) -> VertexClass + Sy
 /// (`O(|A_t| + |Γ_t| + vol(A_t))` per round, `O(1)`
 /// [`is_stabilized`](Algorithm::is_stabilized)); the switch sub-process is a
 /// phase clock that advances every vertex every round, so its `O(n)` step
-/// dominates once the color dynamics are quiet (in parallel mode that `O(n)`
-/// is data-parallel too).
+/// dominates once the color dynamics are quiet (on several threads that
+/// `O(n)` is data-parallel too).
 /// [`step_reference`](ThreeColorProcess::step_reference) retains the naive
 /// full-scan color update for differential testing.
 ///
-/// # Execution modes
+/// # Randomness
 ///
-/// Sequential mode (the default) draws all coins — colors and switch — from
-/// the shared stream in ascending vertex order; after
-/// [`set_execution`](Self::set_execution) with
-/// [`ExecutionMode::Parallel`], both sub-processes use counter-based draws
-/// (`DRAW_STATE` for colors, `DRAW_SWITCH` for the switch), the shared RNG
-/// argument is ignored, and results are bit-identical for every thread
-/// count.
+/// Both sub-processes use counter-based draws (`DRAW_STATE` for colors,
+/// `DRAW_SWITCH` for the switch), so results are bit-identical for every
+/// [`ExecutionMode`] and thread count, and to the reference. The seed comes
+/// from [`set_execution`](Self::set_execution); a process never given one
+/// keys itself from one word of the RNG passed to its first round.
 ///
 /// # Example
 ///
@@ -146,12 +150,12 @@ pub struct ThreeColorProcess<'g, S> {
     strategy: RoundStrategy,
     /// Whether the most recent full synchronous round ran the dense path.
     last_round_dense: bool,
-    counter: CounterRng,
+    /// The run's coins; `None` until keyed (see the struct docs).
+    counter: Option<CounterRng>,
     round: usize,
     random_bits: u64,
     worklist: Vec<VertexId>,
-    changes: Vec<(VertexId, ThreeColor)>,
-    /// Recycled per-chunk change buffers for the parallel round path.
+    /// Recycled per-chunk change buffers for the sparse round path.
     change_pool: Vec<Vec<(VertexId, ThreeColor)>>,
 }
 
@@ -196,23 +200,22 @@ impl<'g, S: SwitchProcess> ThreeColorProcess<'g, S> {
             mode: ExecutionMode::Sequential,
             strategy: RoundStrategy::Auto,
             last_round_dense: false,
-            counter: CounterRng::new(0),
+            counter: None,
             round: 0,
             random_bits: 0,
             worklist: Vec::new(),
-            changes: Vec::new(),
             change_pool: Vec::new(),
         };
         p.rebuild_engine();
         p
     }
 
-    /// Selects the execution mode for subsequent rounds and (re-)keys the
+    /// Selects the thread count of subsequent rounds and (re-)keys the
     /// counter-based RNG with `run_seed` (shared by the color and switch
     /// sub-processes, which draw on disjoint draw indices).
     pub fn set_execution(&mut self, mode: ExecutionMode, run_seed: u64) {
         self.mode = mode;
-        self.counter = CounterRng::new(run_seed);
+        self.counter = Some(CounterRng::new(run_seed));
     }
 
     /// The current execution mode.
@@ -361,34 +364,33 @@ impl<'g, S: SwitchProcess> ThreeColorProcess<'g, S> {
     /// Executes one synchronous round of Definition 28: the color update
     /// reads the switch output of the previous round, then the switch
     /// advances every vertex. The color update takes the dense or the
-    /// sparse path per [`RoundStrategy`] and draws its coins per
-    /// [`ExecutionMode`]; [`Algorithm::step`] reaches it under the
-    /// synchronous scheduler (the switch is a phase clock, so there is no
-    /// partial activation).
+    /// sparse path per [`RoundStrategy`] on the threads of its
+    /// [`ExecutionMode`]; `rng` is read only to key a process no seed was
+    /// given to. [`Algorithm::step`] reaches it under the synchronous
+    /// scheduler (the switch is a phase clock, so there is no partial
+    /// activation).
     pub fn step(&mut self, rng: &mut dyn RngCore) {
+        let counter = CounterRng::get_or_key(&mut self.counter, rng);
         let dense = match self.strategy {
             RoundStrategy::Sparse => false,
             RoundStrategy::Dense => true,
             RoundStrategy::Auto => self.engine.prefers_dense(self.graph.get()),
         };
         self.last_round_dense = dense;
-        match (self.mode, dense) {
-            (ExecutionMode::Sequential, false) => self.step_sequential(rng),
-            (ExecutionMode::Sequential, true) => self.step_dense_sequential(rng),
-            (ExecutionMode::Parallel { threads }, false) => {
-                self.step_parallel(resolve_threads(threads))
-            }
-            (ExecutionMode::Parallel { threads }, true) => {
-                self.step_dense_parallel(resolve_threads(threads))
-            }
+        if dense {
+            self.step_dense(counter, self.mode.threads());
+        } else {
+            self.step_sparse(counter, self.mode.threads());
         }
     }
 
     /// Executes one synchronous round with the naive full-scan reference
-    /// implementation (`O(n + m)`): identical colors, switch evolution, and
-    /// RNG stream as a sequential-mode [`step`](Self::step), retained as
-    /// the oracle for the engine's trace-equality tests.
+    /// implementation (`O(n + m)`): the same counter coins, colors and
+    /// switch evolution as [`step`](Self::step), retained as the oracle for
+    /// the engine's trace-equality tests.
     pub fn step_reference(&mut self, rng: &mut dyn RngCore) {
+        let counter = CounterRng::get_or_key(&mut self.counter, rng);
+        let round = self.round as u64;
         let mut black_nbrs = vec![0u32; self.n()];
         for u in self.graph.get().vertices() {
             if ThreeColor::from_code(self.colors.get(u)).is_black() {
@@ -402,7 +404,7 @@ impl<'g, S: SwitchProcess> ThreeColorProcess<'g, S> {
             let new = match ThreeColor::from_code(self.colors.get(u)) {
                 ThreeColor::Black if black_nbrs[u] > 0 => {
                     self.random_bits += 1;
-                    if rng.gen_bool(0.5) {
+                    if heads(&counter, u, round) {
                         ThreeColor::Black
                     } else {
                         ThreeColor::Gray
@@ -410,7 +412,7 @@ impl<'g, S: SwitchProcess> ThreeColorProcess<'g, S> {
                 }
                 ThreeColor::White if black_nbrs[u] == 0 => {
                     self.random_bits += 1;
-                    if rng.gen_bool(0.5) {
+                    if heads(&counter, u, round) {
                         ThreeColor::Black
                     } else {
                         ThreeColor::White
@@ -422,7 +424,7 @@ impl<'g, S: SwitchProcess> ThreeColorProcess<'g, S> {
             next.set(u, new.code());
         }
         self.colors = next;
-        self.switch.step(rng);
+        self.switch.step_counter(&counter, 1);
         self.rebuild_engine();
         self.round += 1;
     }
@@ -436,106 +438,14 @@ impl<'g, S: SwitchProcess> ThreeColorProcess<'g, S> {
         );
     }
 
-    /// One sequential round: ascending-order draws from the shared stream,
-    /// bit-identical to [`step_reference`](Self::step_reference).
-    fn step_sequential(&mut self, rng: &mut dyn RngCore) {
-        // The color update of round t uses the switch values σ_{t-1} (the
-        // switch output of the *previous* round); the two sub-processes then
-        // advance in parallel. The frontier holds the active vertices plus
-        // every gray vertex (waiting for its switch); draws happen only at
-        // active vertices, in ascending vertex order — the same RNG stream
-        // as the full-scan reference.
-        self.engine.begin_round(&mut self.worklist);
-        self.changes.clear();
-        for &u in &self.worklist {
-            match ThreeColor::from_code(self.colors.get(u)) {
-                ThreeColor::Black => {
-                    debug_assert!(self.engine.is_active(u));
-                    self.random_bits += 1;
-                    if !rng.gen_bool(0.5) {
-                        self.changes.push((u, ThreeColor::Gray));
-                    }
-                }
-                ThreeColor::White => {
-                    debug_assert!(self.engine.is_active(u));
-                    self.random_bits += 1;
-                    if rng.gen_bool(0.5) {
-                        self.changes.push((u, ThreeColor::Black));
-                    }
-                }
-                ThreeColor::Gray => {
-                    if self.switch.is_on(u) {
-                        self.changes.push((u, ThreeColor::White));
-                    }
-                }
-            }
-        }
-        for &(u, color) in &self.changes {
-            self.colors.set(u, color.code());
-            self.engine.set_black(self.graph.get(), u, color.is_black());
-        }
-        self.switch.step(rng);
-        let colors = &self.colors;
-        self.engine.flush(self.graph.get(), classify(colors));
-        self.round += 1;
-    }
-
-    /// One **dense** sequential round: flat sweep deciding from the cached
-    /// activity flags (active black/white vertices draw; gray vertices
-    /// consult the previous round's switch output), then the switch advances
-    /// and the engine recounts in full. Same coins in the same ascending
-    /// order as the sparse path, hence bit-identical.
-    fn step_dense_sequential(&mut self, rng: &mut dyn RngCore) {
-        let n = self.graph.get().n();
-        let mut draws = 0u64;
-        {
-            let colors = &mut self.colors;
-            let engine = &self.engine;
-            let switch = &self.switch;
-            for u in 0..n {
-                match ThreeColor::from_code(colors.get(u)) {
-                    ThreeColor::Black => {
-                        if engine.is_active(u) {
-                            draws += 1;
-                            if !rng.gen_bool(0.5) {
-                                colors.set_mut(u, ThreeColor::Gray.code());
-                                engine.stage_black(u, false);
-                            }
-                        }
-                    }
-                    ThreeColor::White => {
-                        if engine.is_active(u) {
-                            draws += 1;
-                            if rng.gen_bool(0.5) {
-                                colors.set_mut(u, ThreeColor::Black.code());
-                                engine.stage_black(u, true);
-                            }
-                        }
-                    }
-                    ThreeColor::Gray => {
-                        if switch.is_on(u) {
-                            // Gray behaves like white for its neighbors, so
-                            // the blackness projection is unchanged.
-                            colors.set_mut(u, ThreeColor::White.code());
-                        }
-                    }
-                }
-            }
-        }
-        self.random_bits += draws;
-        self.switch.step(rng);
-        let colors = &self.colors;
-        self.engine.recount(self.graph.get(), classify(colors));
-        self.round += 1;
-    }
-
-    /// One **dense** counter-based round on `threads` threads: chunked
-    /// decide sweep, the switch's data-parallel counter step, and the
-    /// parallel engine recount. Bit-identical for every thread count and to
-    /// the sparse parallel path.
-    fn step_dense_parallel(&mut self, threads: usize) {
+    /// One **dense** round on `threads` threads: a flat sweep deciding from
+    /// the cached activity flags (active black/white vertices draw; gray
+    /// vertices consult the previous round's switch output), chunked over
+    /// `0..n`, then the switch's data-parallel counter step and the engine's
+    /// full recount. Bit-identical for every thread count and to the sparse
+    /// path.
+    fn step_dense(&mut self, counter: CounterRng, threads: usize) {
         let round = self.round as u64;
-        let counter = self.counter;
         let colors = &self.colors;
         let switch = &self.switch;
         let graph = self.graph.get();
@@ -546,7 +456,7 @@ impl<'g, S: SwitchProcess> ThreeColorProcess<'g, S> {
                     ThreeColor::Black => {
                         if engine.is_active(u) {
                             draws += 1;
-                            if !counter.gen_bool(0.5, u as u64, round, DRAW_STATE) {
+                            if !heads(&counter, u, round) {
                                 colors.set(u, ThreeColor::Gray.code());
                                 engine.stage_black(u, false);
                             }
@@ -555,7 +465,7 @@ impl<'g, S: SwitchProcess> ThreeColorProcess<'g, S> {
                     ThreeColor::White => {
                         if engine.is_active(u) {
                             draws += 1;
-                            if counter.gen_bool(0.5, u as u64, round, DRAW_STATE) {
+                            if heads(&counter, u, round) {
                                 colors.set(u, ThreeColor::Black.code());
                                 engine.stage_black(u, true);
                             }
@@ -563,6 +473,8 @@ impl<'g, S: SwitchProcess> ThreeColorProcess<'g, S> {
                     }
                     ThreeColor::Gray => {
                         if switch.is_on(u) {
+                            // Gray behaves like white for its neighbors, so
+                            // the blackness projection is unchanged.
                             colors.set(u, ThreeColor::White.code());
                         }
                     }
@@ -571,24 +483,26 @@ impl<'g, S: SwitchProcess> ThreeColorProcess<'g, S> {
             draws
         });
         self.random_bits += draws;
-        self.switch.step_counter(&self.counter, threads);
+        self.switch.step_counter(&counter, threads);
         let colors = &self.colors;
         self.engine.recount_par(graph, threads, classify(colors));
         self.round += 1;
     }
 
-    /// One counter-based round on `threads` threads; results are
-    /// bit-identical for every thread count. The phase structure lives in
+    /// One **sparse** round on `threads` threads; results are bit-identical
+    /// for every thread count. The phase structure lives in
     /// [`FrontierEngine::par_round`]; this supplies the 3-color decide
     /// (black/white vertices draw their coin; gray vertices consult the
     /// *previous* round's switch output) and scatter. The switch then
     /// advances with its own counter-based, data-parallel step — after the
     /// flush, which is equivalent: the color flush never reads switch state
     /// and the switch never reads engine state.
-    fn step_parallel(&mut self, threads: usize) {
-        self.engine.begin_round_unsorted(&mut self.worklist);
+    fn step_sparse(&mut self, counter: CounterRng, threads: usize) {
+        // The color update of round t uses the switch values σ_{t-1} (the
+        // switch output of the *previous* round). The frontier holds the
+        // active vertices plus every gray vertex (waiting for its switch).
+        self.engine.begin_round(&mut self.worklist);
         let round = self.round as u64;
-        let counter = self.counter;
         let colors = &self.colors;
         let switch = &self.switch;
         let graph = self.graph.get();
@@ -604,7 +518,7 @@ impl<'g, S: SwitchProcess> ThreeColorProcess<'g, S> {
                         ThreeColor::Black => {
                             debug_assert!(engine.is_active(u));
                             draws += 1;
-                            if !counter.gen_bool(0.5, u as u64, round, DRAW_STATE) {
+                            if !heads(&counter, u, round) {
                                 colors.set(u, ThreeColor::Gray.code());
                                 changes.push((u, ThreeColor::Gray));
                             }
@@ -612,7 +526,7 @@ impl<'g, S: SwitchProcess> ThreeColorProcess<'g, S> {
                         ThreeColor::White => {
                             debug_assert!(engine.is_active(u));
                             draws += 1;
-                            if counter.gen_bool(0.5, u as u64, round, DRAW_STATE) {
+                            if heads(&counter, u, round) {
                                 colors.set(u, ThreeColor::Black.code());
                                 changes.push((u, ThreeColor::Black));
                             }
@@ -632,7 +546,7 @@ impl<'g, S: SwitchProcess> ThreeColorProcess<'g, S> {
             change_pool,
         );
         self.random_bits += draws;
-        self.switch.step_counter(&self.counter, threads);
+        self.switch.step_counter(&counter, threads);
         self.round += 1;
     }
 }
@@ -798,7 +712,6 @@ mod tests {
             fn n(&self) -> usize {
                 self.0
             }
-            fn step(&mut self, _rng: &mut dyn RngCore) {}
             fn step_counter(&mut self, _counter: &CounterRng, _threads: usize) {}
             fn is_on(&self, _u: VertexId) -> bool {
                 true

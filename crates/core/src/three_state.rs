@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 use crate::algorithm::{uniform3, Algorithm, Capabilities, StateCounts, StepCtx};
 use crate::counter_rng::{CounterRng, DRAW_STATE};
 use crate::engine::{FrontierEngine, VertexClass};
-use crate::exec::{resolve_threads, ExecutionMode, RoundStrategy};
+use crate::exec::{ExecutionMode, RoundStrategy};
 use crate::init::InitStrategy;
 use crate::mutation::{GraphRef, MutationError};
 use crate::packed::PackedStates;
@@ -55,6 +55,16 @@ impl ThreeState {
             2 => ThreeState::Black0,
             other => unreachable!("invalid 3-state code {other}"),
         }
+    }
+}
+
+/// Vertex `u`'s fresh uniformly random state from `{black1, black0}` in
+/// `round`: its [`DRAW_STATE`] coin.
+fn draw(counter: &CounterRng, u: VertexId, round: u64) -> ThreeState {
+    if counter.gen_bool(0.5, u as u64, round, DRAW_STATE) {
+        ThreeState::Black1
+    } else {
+        ThreeState::Black0
     }
 }
 
@@ -110,15 +120,13 @@ fn classify<'a>(
 /// `O(1)`. [`step_reference`](ThreeStateProcess::step_reference) retains the
 /// naive full-scan path for differential testing.
 ///
-/// # Execution modes
+/// # Randomness
 ///
-/// Sequential mode (the default) draws all coins from the shared stream in
-/// ascending vertex order (bit-identical to the reference); after
-/// [`set_execution`](Self::set_execution) with
-/// [`ExecutionMode::Parallel`], coins are counter-based pure functions of
-/// `(run_seed, vertex, round)`, rounds run in data-parallel phases, the
-/// shared RNG argument is ignored, and results are bit-identical for every
-/// thread count.
+/// Coins are counter-based pure functions of `(run_seed, vertex, round)`,
+/// so rounds run in data-parallel phases and results are bit-identical for
+/// every [`ExecutionMode`] and thread count, and to the reference. The seed
+/// comes from [`set_execution`](Self::set_execution); a process never given
+/// one keys itself from one word of the RNG passed to its first round.
 ///
 /// # Example
 ///
@@ -146,12 +154,13 @@ pub struct ThreeStateProcess<'g> {
     strategy: RoundStrategy,
     /// Whether the most recent full synchronous round ran the dense path.
     last_round_dense: bool,
-    counter: CounterRng,
+    /// The run's coins; `None` until keyed (see the struct docs).
+    counter: Option<CounterRng>,
     round: usize,
     random_bits: u64,
     worklist: Vec<VertexId>,
     changes: Vec<(VertexId, ThreeState)>,
-    /// Recycled per-worker change buffers of the parallel round path.
+    /// Recycled per-worker change buffers of the sparse round path.
     change_pool: Vec<Vec<(VertexId, ThreeState, ThreeState)>>,
 }
 
@@ -175,7 +184,7 @@ impl<'g> ThreeStateProcess<'g> {
             mode: ExecutionMode::Sequential,
             strategy: RoundStrategy::Auto,
             last_round_dense: false,
-            counter: CounterRng::new(0),
+            counter: None,
             round: 0,
             random_bits: 0,
             worklist: Vec::new(),
@@ -191,11 +200,11 @@ impl<'g> ThreeStateProcess<'g> {
         Self::new(graph, init.three_state(graph.n(), rng))
     }
 
-    /// Selects the execution mode for subsequent rounds and (re-)keys the
+    /// Selects the thread count of subsequent rounds and (re-)keys the
     /// counter-based RNG with `run_seed`.
     pub fn set_execution(&mut self, mode: ExecutionMode, run_seed: u64) {
         self.mode = mode;
-        self.counter = CounterRng::new(run_seed);
+        self.counter = Some(CounterRng::new(run_seed));
     }
 
     /// The current execution mode.
@@ -338,32 +347,31 @@ impl<'g> ThreeStateProcess<'g> {
     /// Executes one synchronous round of Definition 5: every active vertex
     /// re-draws `black1`/`black0`, and a `black0` vertex with a `black1`
     /// neighbor retires to white. The round takes the dense or the sparse
-    /// path per [`RoundStrategy`] and draws its coins per [`ExecutionMode`];
+    /// path per [`RoundStrategy`] on the threads of its [`ExecutionMode`];
+    /// `rng` is read only to key a process no seed was given to.
     /// [`Algorithm::step`] reaches it under the synchronous scheduler.
     pub fn step(&mut self, rng: &mut dyn RngCore) {
+        let counter = CounterRng::get_or_key(&mut self.counter, rng);
         let dense = match self.strategy {
             RoundStrategy::Sparse => false,
             RoundStrategy::Dense => true,
             RoundStrategy::Auto => self.engine.prefers_dense(self.graph.get()),
         };
         self.last_round_dense = dense;
-        match (self.mode, dense) {
-            (ExecutionMode::Sequential, false) => self.step_sequential(rng),
-            (ExecutionMode::Sequential, true) => self.step_dense_sequential(rng),
-            (ExecutionMode::Parallel { threads }, false) => {
-                self.step_parallel(resolve_threads(threads))
-            }
-            (ExecutionMode::Parallel { threads }, true) => {
-                self.step_dense_parallel(resolve_threads(threads))
-            }
+        if dense {
+            self.step_dense(counter, self.mode.threads());
+        } else {
+            self.step_sparse(counter, self.mode.threads());
         }
     }
 
     /// Executes one synchronous round with the naive full-scan reference
-    /// implementation (`O(n + m)`): identical states and RNG stream as a
-    /// sequential-mode [`step`](Self::step), retained as the oracle for
-    /// the engine's trace-equality tests.
+    /// implementation (`O(n + m)`): the same counter coins and states as
+    /// [`step`](Self::step), retained as the oracle for the engine's
+    /// trace-equality tests.
     pub fn step_reference(&mut self, rng: &mut dyn RngCore) {
+        let counter = CounterRng::get_or_key(&mut self.counter, rng);
+        let round = self.round as u64;
         let n = self.n();
         let mut black_nbrs = vec![0u32; n];
         let mut black1_nbrs = vec![0u32; n];
@@ -388,12 +396,7 @@ impl<'g> ThreeStateProcess<'g> {
             };
             if active {
                 self.random_bits += 1;
-                let drawn = if rng.gen_bool(0.5) {
-                    ThreeState::Black1
-                } else {
-                    ThreeState::Black0
-                };
-                next.set(u, drawn.code());
+                next.set(u, draw(&counter, u, round).code());
             } else if s == ThreeState::Black0 {
                 // black0 with a black1 neighbor retires to white.
                 next.set(u, ThreeState::White.code());
@@ -434,7 +437,7 @@ impl<'g> ThreeStateProcess<'g> {
     }
 
     /// Recomputes the `black1` neighbor counters from scratch with plain
-    /// (non-atomic) adds; the process-owned half of a dense recount.
+    /// (non-atomic) adds; the process-owned half of a rebuild.
     fn recount_black1(&mut self) {
         self.black1_nbrs.clear_all();
         let states = &self.states;
@@ -448,54 +451,15 @@ impl<'g> ThreeStateProcess<'g> {
         }
     }
 
-    /// One **dense** sequential round: flat sweep deciding from the cached
-    /// activity flags (active vertices draw from `{black1, black0}`,
-    /// non-active `black0` vertices retire to white), then a full recount of
-    /// the `black1` counters and the engine bookkeeping. Same coins in the
-    /// same ascending order as the sparse path, hence bit-identical.
-    fn step_dense_sequential(&mut self, rng: &mut dyn RngCore) {
-        let n = self.graph.get().n();
-        let mut draws = 0u64;
-        {
-            let states = &mut self.states;
-            let engine = &self.engine;
-            for u in 0..n {
-                if engine.is_active(u) {
-                    draws += 1;
-                    let new = if rng.gen_bool(0.5) {
-                        ThreeState::Black1
-                    } else {
-                        ThreeState::Black0
-                    };
-                    if new.code() != states.get(u) {
-                        states.set_mut(u, new.code());
-                        engine.stage_black(u, true);
-                    }
-                } else if states.get(u) == ThreeState::Black0.code() {
-                    // black0 with a black1 neighbor retires to white.
-                    states.set_mut(u, ThreeState::White.code());
-                    engine.stage_black(u, false);
-                }
-            }
-        }
-        self.random_bits += draws;
-        self.recount_black1();
-        let states = &self.states;
-        let black1_nbrs = &self.black1_nbrs;
-        self.engine
-            .recount(self.graph.get(), classify(states, black1_nbrs));
-        self.round += 1;
-    }
-
-    /// One **dense** counter-based round on `threads` threads: a
-    /// volume-balanced decide sweep dispatch, then a single fused recount
-    /// dispatch whose first pass also rebuilds the `black1` counters (the
-    /// process hook of [`FrontierEngine::recount_par_with`]) — two pool
+    /// One **dense** round on `threads` threads: a volume-balanced decide
+    /// sweep dispatch (active vertices draw from `{black1, black0}`,
+    /// non-active `black0` vertices retire to white), then a single fused
+    /// recount dispatch whose first pass also rebuilds the `black1` counters
+    /// (the process hook of [`FrontierEngine::recount_par_with`]) — two pool
     /// dispatches per dense round. Bit-identical for every thread count and
-    /// to the sparse parallel path.
-    fn step_dense_parallel(&mut self, threads: usize) {
+    /// to the sparse path.
+    fn step_dense(&mut self, counter: CounterRng, threads: usize) {
         let round = self.round as u64;
-        let counter = self.counter;
         let states = &self.states;
         let graph = self.graph.get();
         let draws = self.engine.dense_sweep(graph, threads, |engine, range| {
@@ -503,16 +467,13 @@ impl<'g> ThreeStateProcess<'g> {
             for u in range {
                 if engine.is_active(u) {
                     draws += 1;
-                    let new = if counter.gen_bool(0.5, u as u64, round, DRAW_STATE) {
-                        ThreeState::Black1
-                    } else {
-                        ThreeState::Black0
-                    };
+                    let new = draw(&counter, u, round);
                     if new.code() != states.get(u) {
                         states.set(u, new.code());
                         engine.stage_black(u, true);
                     }
                 } else if states.get(u) == ThreeState::Black0.code() {
+                    // black0 with a black1 neighbor retires to white.
                     states.set(u, ThreeState::White.code());
                     engine.stage_black(u, false);
                 }
@@ -539,52 +500,14 @@ impl<'g> ThreeStateProcess<'g> {
         self.round += 1;
     }
 
-    /// One sequential round: ascending-order draws from the shared stream,
-    /// bit-identical to [`step_reference`](Self::step_reference).
-    fn step_sequential(&mut self, rng: &mut dyn RngCore) {
-        // The frontier holds every vertex whose rule may fire: all black
-        // vertices plus active whites. Only active vertices draw, in
-        // ascending vertex order — the same RNG stream as the full scan.
-        self.engine.begin_round(&mut self.worklist);
-        self.changes.clear();
-        for &u in &self.worklist {
-            if self.engine.is_active(u) {
-                self.random_bits += 1;
-                let new = if rng.gen_bool(0.5) {
-                    ThreeState::Black1
-                } else {
-                    ThreeState::Black0
-                };
-                if new != ThreeState::from_code(self.states.get(u)) {
-                    self.changes.push((u, new));
-                }
-            } else {
-                // Pending but not active: black0 with a black1 neighbor
-                // retires to white.
-                debug_assert_eq!(self.state(u), ThreeState::Black0);
-                self.changes.push((u, ThreeState::White));
-            }
-        }
-        for i in 0..self.changes.len() {
-            let (u, state) = self.changes[i];
-            let old = ThreeState::from_code(self.states.get(u));
-            self.states.set(u, state.code());
-            self.apply_black1_delta(u, old, state);
-            self.engine.set_black(self.graph.get(), u, state.is_black());
-        }
-        let states = &self.states;
-        let black1_nbrs = &self.black1_nbrs;
-        self.engine
-            .flush(self.graph.get(), classify(states, black1_nbrs));
-        self.round += 1;
-    }
-
     /// Executes one round in which only the vertices of `scheduled` are
     /// activated: a scheduled *active* vertex re-draws from
     /// `{black1, black0}`, a scheduled non-active `black0` vertex (one with
     /// a `black1` neighbor) retires to white, and every other vertex keeps
     /// its state. All decisions are made against the pre-round
-    /// configuration, in ascending vertex order.
+    /// configuration, and a vertex draws the same counter coin it would draw
+    /// in a synchronous round, so a full `scheduled` set is exactly a
+    /// [`step`](Self::step).
     ///
     /// # Panics
     ///
@@ -595,16 +518,14 @@ impl<'g> ThreeStateProcess<'g> {
             self.n(),
             "scheduled set universe must match the graph"
         );
+        let counter = CounterRng::get_or_key(&mut self.counter, rng);
+        let round = self.round as u64;
         self.changes.clear();
         for u in scheduled.iter() {
             let old = ThreeState::from_code(self.states.get(u));
             if self.engine.is_active(u) {
                 self.random_bits += 1;
-                let new = if rng.gen_bool(0.5) {
-                    ThreeState::Black1
-                } else {
-                    ThreeState::Black0
-                };
+                let new = draw(&counter, u, round);
                 if new != old {
                     self.changes.push((u, new));
                 }
@@ -627,17 +548,16 @@ impl<'g> ThreeStateProcess<'g> {
         self.round += 1;
     }
 
-    /// One counter-based round on `threads` threads; results are
-    /// bit-identical for every thread count. The phase structure lives in
+    /// One **sparse** round on `threads` threads; results are bit-identical
+    /// for every thread count. The phase structure lives in
     /// [`FrontierEngine::par_round`]; this supplies the 3-state decide
     /// (active vertices draw, pending-but-not-active black0 vertices retire
     /// deterministically) and scatter (blackness flips through the engine,
     /// black1 deltas through the process-owned counters, shared dirty
     /// marks).
-    fn step_parallel(&mut self, threads: usize) {
-        self.engine.begin_round_unsorted(&mut self.worklist);
+    fn step_sparse(&mut self, counter: CounterRng, threads: usize) {
+        self.engine.begin_round(&mut self.worklist);
         let round = self.round as u64;
-        let counter = self.counter;
         let states = &self.states;
         let black1_nbrs = &self.black1_nbrs;
         let graph = self.graph.get();
@@ -653,16 +573,14 @@ impl<'g> ThreeStateProcess<'g> {
                     let old = ThreeState::from_code(states.get(u));
                     if engine.is_active(u) {
                         draws += 1;
-                        let new = if counter.gen_bool(0.5, u as u64, round, DRAW_STATE) {
-                            ThreeState::Black1
-                        } else {
-                            ThreeState::Black0
-                        };
+                        let new = draw(&counter, u, round);
                         if new != old {
                             states.set(u, new.code());
                             changes.push((u, old, new));
                         }
                     } else {
+                        // Pending but not active: black0 with a black1
+                        // neighbor retires to white.
                         debug_assert_eq!(old, ThreeState::Black0);
                         states.set(u, ThreeState::White.code());
                         changes.push((u, old, ThreeState::White));

@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 use crate::algorithm::{coin, Algorithm, Capabilities, StateCounts, StepCtx};
 use crate::counter_rng::{CounterRng, DRAW_STATE};
 use crate::engine::{FrontierEngine, VertexClass};
-use crate::exec::{resolve_threads, ExecutionMode, RoundStrategy};
+use crate::exec::{ExecutionMode, RoundStrategy};
 use crate::init::InitStrategy;
 use crate::mutation::{GraphRef, MutationError};
 use crate::packed::PackedStates;
@@ -49,6 +49,16 @@ impl Color {
     }
 }
 
+/// Vertex `u`'s fresh uniformly random color in `round`: its
+/// [`DRAW_STATE`] coin.
+fn draw(counter: &CounterRng, u: VertexId, round: u64) -> Color {
+    if counter.gen_bool(0.5, u as u64, round, DRAW_STATE) {
+        Color::Black
+    } else {
+        Color::White
+    }
+}
+
 /// The 2-state local rule: a vertex is active (and pending — the two coincide
 /// for this process) iff it is black with a black neighbor or white with no
 /// black neighbor.
@@ -87,16 +97,14 @@ fn classify(states: &PackedStates) -> impl Fn(VertexId, u32) -> VertexClass + Sy
 /// are `O(1)`; [`step_reference`] retains the naive full-scan path for
 /// differential testing.
 ///
-/// # Execution modes
+/// # Randomness
 ///
-/// Under the default [`ExecutionMode::Sequential`], all coins come from the
-/// shared RNG stream passed to `step`, drawn in ascending vertex order —
-/// bit-identical to [`step_reference`]. After
-/// [`set_execution`](Self::set_execution) with
-/// [`ExecutionMode::Parallel`], each vertex's coin is the pure function
-/// `CounterRng(run_seed)(vertex, round, draw)` and the round executes in
-/// data-parallel phases; the shared RNG argument is **ignored** and the
-/// results are bit-identical for every thread count.
+/// Each vertex's coin is the pure function
+/// `CounterRng(run_seed)(vertex, round, draw)`, so a round can run in
+/// data-parallel phases and its results are bit-identical for every
+/// [`ExecutionMode`] and thread count, and to [`step_reference`]. The seed
+/// comes from [`set_execution`](Self::set_execution); a process never given
+/// one keys itself from one word of the RNG passed to its first round.
 ///
 /// [`step_reference`]: TwoStateProcess::step_reference
 ///
@@ -124,14 +132,15 @@ pub struct TwoStateProcess<'g> {
     strategy: RoundStrategy,
     /// Whether the most recent full synchronous round ran the dense path.
     last_round_dense: bool,
-    counter: CounterRng,
+    /// The run's coins; `None` until keyed (see the struct docs).
+    counter: Option<CounterRng>,
     round: usize,
     random_bits: u64,
     /// Scratch: the frontier snapshot of the round being executed.
     worklist: Vec<VertexId>,
-    /// Scratch: the state changes decided in the current round.
+    /// Scratch: the state changes decided in a scheduled round.
     changes: Vec<(VertexId, Color)>,
-    /// Recycled per-chunk change buffers for the parallel round path.
+    /// Recycled per-chunk change buffers for the sparse round path.
     change_pool: Vec<Vec<(VertexId, bool)>>,
 }
 
@@ -154,7 +163,7 @@ impl<'g> TwoStateProcess<'g> {
             mode: ExecutionMode::Sequential,
             strategy: RoundStrategy::Auto,
             last_round_dense: false,
-            counter: CounterRng::new(0),
+            counter: None,
             round: 0,
             random_bits: 0,
             worklist: Vec::new(),
@@ -170,12 +179,11 @@ impl<'g> TwoStateProcess<'g> {
         Self::new(graph, init.two_state(graph.n(), rng))
     }
 
-    /// Selects the execution mode for subsequent rounds and (re-)keys the
-    /// counter-based RNG with `run_seed`. See the struct docs for the two
-    /// randomness models.
+    /// Selects the thread count of subsequent rounds and (re-)keys the
+    /// counter-based RNG with `run_seed`.
     pub fn set_execution(&mut self, mode: ExecutionMode, run_seed: u64) {
         self.mode = mode;
-        self.counter = CounterRng::new(run_seed);
+        self.counter = Some(CounterRng::new(run_seed));
     }
 
     /// The current execution mode.
@@ -321,25 +329,22 @@ impl<'g> TwoStateProcess<'g> {
 
     /// Executes one synchronous round of Definition 4: every active vertex
     /// re-draws its color uniformly at random. The round takes the dense or
-    /// the sparse path per [`RoundStrategy`] and draws its coins per
-    /// [`ExecutionMode`]; [`Algorithm::step`] reaches it under the
-    /// synchronous scheduler.
+    /// the sparse path per [`RoundStrategy`] on the threads of its
+    /// [`ExecutionMode`]; `rng` is read only to key a process no seed was
+    /// given to. [`Algorithm::step`] reaches it under the synchronous
+    /// scheduler.
     pub fn step(&mut self, rng: &mut dyn RngCore) {
+        let counter = CounterRng::get_or_key(&mut self.counter, rng);
         let dense = match self.strategy {
             RoundStrategy::Sparse => false,
             RoundStrategy::Dense => true,
             RoundStrategy::Auto => self.engine.prefers_dense(self.graph.get()),
         };
         self.last_round_dense = dense;
-        match (self.mode, dense) {
-            (ExecutionMode::Sequential, false) => self.step_sequential(rng),
-            (ExecutionMode::Sequential, true) => self.step_dense_sequential(rng),
-            (ExecutionMode::Parallel { threads }, false) => {
-                self.step_parallel(resolve_threads(threads))
-            }
-            (ExecutionMode::Parallel { threads }, true) => {
-                self.step_dense_parallel(resolve_threads(threads))
-            }
+        if dense {
+            self.step_dense(counter, self.mode.threads());
+        } else {
+            self.step_sparse(counter, self.mode.threads());
         }
     }
 
@@ -347,10 +352,12 @@ impl<'g> TwoStateProcess<'g> {
     /// implementation: rescan all vertices, recompute every black-neighbor
     /// count from scratch, `O(n + m)`.
     ///
-    /// Semantically identical to a sequential-mode [`step`](Self::step) —
-    /// same states, same RNG stream — and retained as the oracle for the
-    /// engine's trace-equality tests.
+    /// Draws the same counter coins as [`step`](Self::step), so the two are
+    /// bit-identical; retained as the oracle for the engine's trace-equality
+    /// tests.
     pub fn step_reference(&mut self, rng: &mut dyn RngCore) {
+        let counter = CounterRng::get_or_key(&mut self.counter, rng);
+        let round = self.round as u64;
         // Recount independently of the engine so the reference path does not
         // rely on the bookkeeping it is meant to check.
         let mut black_nbrs = vec![0u32; self.n()];
@@ -369,12 +376,7 @@ impl<'g> TwoStateProcess<'g> {
             };
             if active {
                 self.random_bits += 1;
-                let color = if rng.gen_bool(0.5) {
-                    Color::Black
-                } else {
-                    Color::White
-                };
-                next.set(u, color.code());
+                next.set(u, draw(&counter, u, round).code());
             }
         }
         self.states = next;
@@ -391,42 +393,13 @@ impl<'g> TwoStateProcess<'g> {
         );
     }
 
-    /// One sequential round: ascending-order draws from the shared stream,
-    /// bit-identical to [`step_reference`](Self::step_reference).
-    fn step_sequential(&mut self, rng: &mut dyn RngCore) {
-        // For the 2-state process the frontier is exactly the active set, so
-        // every worklist vertex re-draws; ascending order keeps the RNG
-        // stream identical to the full-scan reference.
-        self.engine.begin_round(&mut self.worklist);
-        self.changes.clear();
-        for &u in &self.worklist {
-            debug_assert!(self.engine.is_active(u));
-            self.random_bits += 1;
-            let new = if rng.gen_bool(0.5) {
-                Color::Black
-            } else {
-                Color::White
-            };
-            if new != Color::from_code(self.states.get(u)) {
-                self.changes.push((u, new));
-            }
-        }
-        for &(u, color) in &self.changes {
-            self.states.set(u, color.code());
-            self.engine.set_black(self.graph.get(), u, color.is_black());
-        }
-        let states = &self.states;
-        self.engine.flush(self.graph.get(), classify(states));
-        self.round += 1;
-    }
-
     /// Executes one round in which only the vertices of `scheduled` are
     /// activated (a partial-activation round under a non-synchronous
     /// scheduler): every scheduled *active* vertex re-draws its state
     /// uniformly at random against the pre-round configuration, all other
-    /// vertices keep their state. Draws happen in ascending vertex order
-    /// from the shared stream; a full `scheduled` set consumes exactly the
-    /// coins of a sequential [`step`](Self::step).
+    /// vertices keep their state. A vertex draws the same counter coin it
+    /// would draw in a synchronous round, so a full `scheduled` set is
+    /// exactly a [`step`](Self::step).
     ///
     /// # Panics
     ///
@@ -437,17 +410,15 @@ impl<'g> TwoStateProcess<'g> {
             self.n(),
             "scheduled set universe must match the graph"
         );
+        let counter = CounterRng::get_or_key(&mut self.counter, rng);
+        let round = self.round as u64;
         // Decide against the pre-round configuration, then apply: the
         // engine's activity bits are only mutated after every coin is drawn.
         self.changes.clear();
         for u in scheduled.iter() {
             if self.engine.is_active(u) {
                 self.random_bits += 1;
-                let new = if rng.gen_bool(0.5) {
-                    Color::Black
-                } else {
-                    Color::White
-                };
+                let new = draw(&counter, u, round);
                 if new != Color::from_code(self.states.get(u)) {
                     self.changes.push((u, new));
                 }
@@ -463,46 +434,14 @@ impl<'g> TwoStateProcess<'g> {
         self.round += 1;
     }
 
-    /// One **dense** sequential round: a flat sweep over the packed state
-    /// array deciding from the cached activity flags (no worklist, no sort,
-    /// no delta scatter), followed by the engine's fused full recount. Same
-    /// coins for the same vertices in the same ascending order as
-    /// [`step_sequential`](Self::step_sequential), hence bit-identical.
-    fn step_dense_sequential(&mut self, rng: &mut dyn RngCore) {
-        let n = self.graph.get().n();
-        let mut draws = 0u64;
-        {
-            let states = &mut self.states;
-            let engine = &self.engine;
-            for u in 0..n {
-                if engine.is_active(u) {
-                    draws += 1;
-                    let new = if rng.gen_bool(0.5) {
-                        Color::Black
-                    } else {
-                        Color::White
-                    };
-                    if new.code() != states.get(u) {
-                        states.set_mut(u, new.code());
-                        engine.stage_black(u, new.is_black());
-                    }
-                }
-            }
-        }
-        self.random_bits += draws;
-        let states = &self.states;
-        self.engine.recount(self.graph.get(), classify(states));
-        self.round += 1;
-    }
-
-    /// One **dense** counter-based round on `threads` threads: the decide
-    /// sweep is chunked over `0..n` (order-independent counter draws) and
-    /// the recount runs through
-    /// [`recount_par`](FrontierEngine::recount_par); bit-identical for every
-    /// thread count and to the sparse parallel path.
-    fn step_dense_parallel(&mut self, threads: usize) {
+    /// One **dense** round on `threads` threads: a flat sweep over the
+    /// packed state array deciding from the cached activity flags (no
+    /// worklist, no delta scatter), chunked over `0..n`, then the engine's
+    /// fused full recount through
+    /// [`recount_par`](FrontierEngine::recount_par). Bit-identical for every
+    /// thread count and to the sparse path.
+    fn step_dense(&mut self, counter: CounterRng, threads: usize) {
         let round = self.round as u64;
-        let counter = self.counter;
         let states = &self.states;
         let graph = self.graph.get();
         let draws = self.engine.dense_sweep(graph, threads, |engine, range| {
@@ -510,11 +449,7 @@ impl<'g> TwoStateProcess<'g> {
             for u in range {
                 if engine.is_active(u) {
                     draws += 1;
-                    let new = if counter.gen_bool(0.5, u as u64, round, DRAW_STATE) {
-                        Color::Black
-                    } else {
-                        Color::White
-                    };
+                    let new = draw(&counter, u, round);
                     if new.code() != states.get(u) {
                         states.set(u, new.code());
                         engine.stage_black(u, new.is_black());
@@ -529,15 +464,14 @@ impl<'g> TwoStateProcess<'g> {
         self.round += 1;
     }
 
-    /// One counter-based round on `threads` threads; results are
-    /// bit-identical for every thread count. The phase structure lives in
+    /// One **sparse** round on `threads` threads; results are bit-identical
+    /// for every thread count. The phase structure lives in
     /// [`FrontierEngine::par_round`]; this only supplies the 2-state decide
     /// (every worklist vertex is active and draws its own coin) and scatter
     /// (plain blackness flips).
-    fn step_parallel(&mut self, threads: usize) {
-        self.engine.begin_round_unsorted(&mut self.worklist);
+    fn step_sparse(&mut self, counter: CounterRng, threads: usize) {
+        self.engine.begin_round(&mut self.worklist);
         let round = self.round as u64;
-        let counter = self.counter;
         let states = &self.states;
         let graph = self.graph.get();
         let change_pool = &mut self.change_pool;
@@ -550,11 +484,7 @@ impl<'g> TwoStateProcess<'g> {
                 for &u in chunk {
                     debug_assert!(engine.is_active(u));
                     draws += 1;
-                    let new = if counter.gen_bool(0.5, u as u64, round, DRAW_STATE) {
-                        Color::Black
-                    } else {
-                        Color::White
-                    };
+                    let new = draw(&counter, u, round);
                     if new.code() != states.get(u) {
                         states.set(u, new.code());
                         changes.push((u, new.is_black()));

@@ -2,7 +2,9 @@
 //! **bit-identical** to the retained naive full-scan reference path — same
 //! rounds, same per-round state vectors and black sets, same random-bit
 //! counts, same per-round [`StateCounts`] — for equal seeds, across all
-//! three processes and a spread of graph families and initializations.
+//! three processes, a spread of graph families and initializations, and
+//! every execution mode: both paths draw the same counter coins, so the
+//! thread count the fast path runs on must not show.
 //!
 //! Together with the from-scratch recount helpers below, this pins down both
 //! sides: the fast path agrees with the reference, and the reference's
@@ -10,8 +12,8 @@
 
 use mis_core::init::InitStrategy;
 use mis_core::{
-    Algorithm, StateCounts, StepCtx, ThreeColorProcess, ThreeState, ThreeStateProcess,
-    TwoStateProcess,
+    Algorithm, ExecutionMode, StateCounts, StepCtx, ThreeColorProcess, ThreeState,
+    ThreeStateProcess, TwoStateProcess,
 };
 use mis_graph::{generators, Graph, VertexSet};
 use rand::SeedableRng;
@@ -36,6 +38,14 @@ fn graphs(seed: u64) -> Vec<Graph> {
         Graph::empty(12),
     ]
 }
+
+/// The execution modes the fast path runs under, rotated over the seeds of
+/// each case. The reference ignores its mode.
+const MODES: [ExecutionMode; 3] = [
+    ExecutionMode::Sequential,
+    ExecutionMode::Parallel { threads: 1 },
+    ExecutionMode::Parallel { threads: 2 },
+];
 
 const INITS: [InitStrategy; 4] = [
     InitStrategy::AllWhite,
@@ -116,6 +126,8 @@ fn two_state_trace_equality() {
                 let states = init.two_state(g.n(), &mut r_init);
                 let mut fast = TwoStateProcess::new(&g, states.clone());
                 let mut reference = TwoStateProcess::new(&g, states);
+                fast.set_execution(MODES[seed as usize % 3], 7 + seed);
+                reference.set_execution(ExecutionMode::Sequential, 7 + seed);
                 let mut r_fast = rng(7 + seed);
                 let mut r_ref = rng(7 + seed);
                 drive_pair(
@@ -173,6 +185,8 @@ fn three_state_trace_equality() {
                 let states = init.three_state(g.n(), &mut r_init);
                 let mut fast = ThreeStateProcess::new(&g, states.clone());
                 let mut reference = ThreeStateProcess::new(&g, states);
+                fast.set_execution(MODES[seed as usize % 3], 11 + seed);
+                reference.set_execution(ExecutionMode::Sequential, 11 + seed);
                 let mut r_fast = rng(11 + seed);
                 let mut r_ref = rng(11 + seed);
                 // The 3-state process keeps alternating after stabilization,
@@ -226,6 +240,9 @@ fn three_color_trace_equality() {
                 let mut r_ref = rng(13 + seed);
                 let mut fast = ThreeColorProcess::with_randomized_switch(&g, init, &mut r_fast);
                 let mut reference = ThreeColorProcess::with_randomized_switch(&g, init, &mut r_ref);
+                // Two seeds per case: rotate the modes across graphs too.
+                fast.set_execution(MODES[(gi + seed as usize) % 3], 13 + seed);
+                reference.set_execution(ExecutionMode::Sequential, 13 + seed);
                 drive_pair(
                     &mut fast,
                     &mut reference,
@@ -289,5 +306,90 @@ fn fast_and_reference_steps_interleave_on_one_instance() {
         fast.step(&mut r_fast);
         assert_eq!(mixed.states(), fast.states(), "round {round}");
         assert_eq!(mixed.counts(), fast.counts(), "round {round}");
+    }
+}
+
+/// A sparse graph large enough that two threads really split the fast
+/// path's phases: under every mode the fast path must still walk the
+/// reference's trajectory round by round.
+#[test]
+fn large_sparse_trace_equality_in_every_mode() {
+    let g = generators::gnp(5_000, 6.0 / 5_000.0, &mut rng(227));
+    for (i, mode) in MODES.into_iter().enumerate() {
+        let seed = 229 + i as u64;
+        let mut r = rng(seed);
+        let states = InitStrategy::Random.two_state(g.n(), &mut r);
+        let mut fast = TwoStateProcess::new(&g, states.clone());
+        let mut reference = TwoStateProcess::new(&g, states);
+        fast.set_execution(mode, seed);
+        reference.set_execution(ExecutionMode::Sequential, seed);
+        drive_pair(
+            &mut fast,
+            &mut reference,
+            |p, r| p.step_reference(r),
+            |f, n, round| {
+                assert_eq!(f.states(), n.states(), "two-state, {mode:?}, round {round}");
+                assert_eq!(f.counts(), n.counts(), "two-state, {mode:?}, round {round}");
+                assert_eq!(f.random_bits_used(), n.random_bits_used());
+            },
+            &mut rng(0),
+            &mut rng(0),
+            100_000,
+        );
+
+        let states = InitStrategy::Random.three_state(g.n(), &mut r);
+        let mut fast = ThreeStateProcess::new(&g, states.clone());
+        let mut reference = ThreeStateProcess::new(&g, states);
+        fast.set_execution(mode, seed);
+        reference.set_execution(ExecutionMode::Sequential, seed);
+        drive_pair(
+            &mut fast,
+            &mut reference,
+            |p, r| p.step_reference(r),
+            |f, n, round| {
+                assert_eq!(
+                    f.states(),
+                    n.states(),
+                    "three-state, {mode:?}, round {round}"
+                );
+                assert_eq!(
+                    f.counts(),
+                    n.counts(),
+                    "three-state, {mode:?}, round {round}"
+                );
+                assert_eq!(f.random_bits_used(), n.random_bits_used());
+            },
+            &mut rng(0),
+            &mut rng(0),
+            100_000,
+        );
+
+        let mut r_ref = r.clone();
+        let mut fast = ThreeColorProcess::with_randomized_switch(&g, InitStrategy::Random, &mut r);
+        let mut reference =
+            ThreeColorProcess::with_randomized_switch(&g, InitStrategy::Random, &mut r_ref);
+        fast.set_execution(mode, seed);
+        reference.set_execution(ExecutionMode::Sequential, seed);
+        drive_pair(
+            &mut fast,
+            &mut reference,
+            |p, r| p.step_reference(r),
+            |f, n, round| {
+                assert_eq!(
+                    f.colors(),
+                    n.colors(),
+                    "three-color, {mode:?}, round {round}"
+                );
+                assert_eq!(
+                    f.counts(),
+                    n.counts(),
+                    "three-color, {mode:?}, round {round}"
+                );
+                assert_eq!(f.random_bits_used(), n.random_bits_used());
+            },
+            &mut rng(0),
+            &mut rng(0),
+            100_000,
+        );
     }
 }

@@ -35,11 +35,6 @@ use crate::graphs::GraphEntry;
 use crate::journal::{Journal, Record, RecoveredJob};
 use crate::sync;
 
-/// Salt decorrelating the counter-RNG key from the trial seed; a frozen copy
-/// of the (private) constant in `mis_sim::runner`, kept bit-identical so a
-/// service job and a `run_trial` with the same seed share coin streams.
-const COUNTER_SEED_SALT: u64 = 0x0005_EEDC_0DE0_FC01;
-
 /// Cap on buffered event lines per job; one `truncated` marker is appended
 /// when a job would exceed it.
 const MAX_EVENT_LINES: usize = 100_000;
@@ -696,7 +691,7 @@ fn run_job(job: &Arc<Job>) -> Result<RunEnd, String> {
         init: request.init,
         execution: request.execution,
         strategy: request.strategy,
-        counter_seed: request.seed ^ COUNTER_SEED_SALT,
+        counter_seed: AlgorithmConfig::counter_seed_for(request.seed),
     };
     let start = Instant::now();
     let mut algorithm = factory.init(&graph, &config, &mut rng);

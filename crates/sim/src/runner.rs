@@ -36,11 +36,6 @@ use crate::registry::builtin_registry;
 use crate::spec::{ChurnSpec, ExperimentSpec, FaultSpec};
 use crate::stats::Summary;
 
-/// Salt mixed into the per-trial seed to key the counter-based RNG of
-/// parallel-mode runs (so the counter key is decorrelated from the ChaCha
-/// stream that draws the graph and the initial states).
-const COUNTER_SEED_SALT: u64 = 0x0005_EEDC_0DE0_FC01;
-
 /// BFS radius around the Byzantine set within which instability is the
 /// adversary's prerogative: a trial under a [`ByzantineOverlay`] terminates
 /// once every unstable vertex lies inside this ball — the containment
@@ -227,7 +222,7 @@ fn run_trial_on(
     shared_graph: Option<&Graph>,
 ) -> TrialResult {
     let seed = spec.base_seed.wrapping_add(trial as u64);
-    let counter_seed = seed ^ COUNTER_SEED_SALT;
+    let counter_seed = AlgorithmConfig::counter_seed_for(seed);
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let generated;
     let graph = match shared_graph {
@@ -911,7 +906,7 @@ mod tests {
             init: spec.init,
             execution: spec.execution,
             strategy: spec.strategy,
-            counter_seed: spec.base_seed ^ COUNTER_SEED_SALT,
+            counter_seed: AlgorithmConfig::counter_seed_for(spec.base_seed),
         };
         let mut alg = factory.init(&graph, &config, &mut rng);
         let mut scheduler = spec.scheduler.build();
@@ -1014,7 +1009,7 @@ mod tests {
             init: spec.init,
             execution: spec.execution,
             strategy: spec.strategy,
-            counter_seed: spec.base_seed ^ COUNTER_SEED_SALT,
+            counter_seed: AlgorithmConfig::counter_seed_for(spec.base_seed),
         };
         let mut alg = factory.init(&graph, &config, &mut rng);
         let mut scheduler = spec.scheduler.build();
@@ -1172,7 +1167,7 @@ mod tests {
             init: spec.init,
             execution: spec.execution,
             strategy: spec.strategy,
-            counter_seed: spec.base_seed ^ COUNTER_SEED_SALT,
+            counter_seed: AlgorithmConfig::counter_seed_for(spec.base_seed),
         };
         let mut alg = factory.init(&graph, &config, &mut rng);
         let overlay = ByzantineOverlay::new(ByzantineStrategy::Oscillator, vec![0, 1], 7);
@@ -1288,7 +1283,7 @@ mod tests {
             init: spec.init,
             execution: spec.execution,
             strategy: spec.strategy,
-            counter_seed: spec.base_seed ^ COUNTER_SEED_SALT,
+            counter_seed: AlgorithmConfig::counter_seed_for(spec.base_seed),
         };
         let mut alg = factory.init(&graph, &config, &mut rng);
         let mut scheduler = spec.scheduler.build();

@@ -3,9 +3,7 @@
 //! A spec names an algorithm by registry key, a graph family, a
 //! [`SchedulerSpec`], an optional [`FaultSpec`], and the trial/seed budget.
 //! Build specs with [`ExperimentSpec::builder`]; the struct remains `pub`
-//! and serde-stable for existing code and stored JSON (legacy JSON naming
-//! an algorithm through the retired `ProcessSelector` enum's `process`
-//! field still deserializes — the variant name maps onto its registry key).
+//! and serde-stable for existing code and stored JSON.
 
 use mis_core::init::InitStrategy;
 use mis_core::scheduler::{CentralDaemon, RandomSubset, Scheduler, Synchronous};
@@ -643,35 +641,16 @@ impl Deserialize for ByzantineSpec {
     }
 }
 
-/// Maps a variant name of the retired `ProcessSelector` enum onto the
-/// registry key it always resolved to, so JSON written before the enum was
-/// removed (`"process": "TwoState"`) keeps deserializing unchanged.
-fn legacy_process_registry_key(variant: &str) -> Option<&'static str> {
-    Some(match variant {
-        "TwoState" => "two-state",
-        "ThreeState" => "three-state",
-        "ThreeColor" => "three-color",
-        "Luby" => "luby",
-        "RandomPriority" => "random-priority",
-        "Greedy" => "greedy",
-        "SequentialSelfStab" => "sequential-selfstab",
-        _ => return None,
-    })
-}
-
 /// A full experiment: an algorithm, a graph family, a scheduler, an
 /// initialization, and a trial/seed budget.
 ///
 /// Prefer [`ExperimentSpec::builder`] for construction; the struct literal
-/// form remains available for the legacy field set.
+/// form remains available.
 ///
 /// Serialization is hand-written (the vendored serde derive has no
 /// `#[serde(default)]`): the [`scheduler`](Self::scheduler),
-/// [`fault`](Self::fault), and related post-redesign fields fall back to
-/// their defaults when absent, and a legacy `process` field (the retired
-/// `ProcessSelector` enum, serialized as its variant name) still resolves
-/// to the matching [`algorithm`](Self::algorithm) registry key — so JSON
-/// written before the registry redesign deserializes unchanged.
+/// [`fault`](Self::fault), and related optional fields fall back to their
+/// defaults when absent.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentSpec {
     /// Name used in reports and file names.
@@ -685,9 +664,8 @@ pub struct ExperimentSpec {
     /// Initial-state strategy (ignored by baselines that choose their own
     /// starting configuration, like Luby and random-priority).
     pub init: InitStrategy,
-    /// How the engine processes execute rounds: the sequential shared-stream
-    /// model or counter-based intra-round parallelism. Algorithms without
-    /// parallel support ignore this field.
+    /// How many threads the engine processes' rounds run on; results do not
+    /// depend on it. Algorithms without parallel support ignore this field.
     pub execution: ExecutionMode,
     /// How full synchronous rounds traverse the graph: adaptive dense/sparse
     /// direction optimization (`auto`, the serde default), or one path
@@ -766,10 +744,9 @@ impl Serialize for ExperimentSpec {
 
 impl Deserialize for ExperimentSpec {
     fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        // The post-redesign fields (`algorithm`, `scheduler`, `fault`) fall
-        // back to their defaults when absent so that specs serialized before
-        // the registry redesign keep deserializing — the vendored serde
-        // derive has no `#[serde(default)]`, hence the manual impl.
+        // The optional fields (`scheduler`, `fault`, ...) fall back to their
+        // defaults when absent — the vendored serde derive has no
+        // `#[serde(default)]`, hence the manual impl.
         fn optional<'a>(value: &'a serde::Value, name: &str) -> Option<&'a serde::Value> {
             match value {
                 serde::Value::Object(fields) => fields
@@ -788,31 +765,13 @@ impl Deserialize for ExperimentSpec {
                 None => Ok(T::default()),
             }
         }
-        // Registry-first specs carry the key in `algorithm`; specs written
-        // while the retired `ProcessSelector` enum existed carry a
-        // `process` variant name instead (possibly next to an explicit
-        // `"algorithm": null`). The explicit key wins; the variant name
-        // maps onto its registry key; with neither the spec names no
-        // algorithm at all.
         let algorithm: String = match optional(value, "algorithm") {
             Some(field) if !matches!(field, serde::Value::Null) => Deserialize::from_value(field)?,
-            _ => match optional(value, "process") {
-                Some(field) => {
-                    let variant: String = Deserialize::from_value(field)?;
-                    legacy_process_registry_key(&variant)
-                        .ok_or_else(|| {
-                            serde::Error::custom(format!(
-                                "unknown legacy process selector '{variant}'"
-                            ))
-                        })?
-                        .to_string()
-                }
-                None => {
-                    return Err(serde::Error::custom(
-                        "spec names no algorithm (missing field `algorithm`)",
-                    ))
-                }
-            },
+            _ => {
+                return Err(serde::Error::custom(
+                    "spec names no algorithm (missing field `algorithm`)",
+                ))
+            }
         };
         Ok(ExperimentSpec {
             name: Deserialize::from_value(serde::get_field(value, "name")?)?,
@@ -845,8 +804,7 @@ impl ExperimentSpec {
     }
 
     /// The registry key this spec resolves to — a convenience alias for
-    /// [`algorithm`](Self::algorithm) kept for the many call sites written
-    /// while the key was still computed from a legacy selector.
+    /// [`algorithm`](Self::algorithm).
     pub fn algorithm_key(&self) -> &str {
         &self.algorithm
     }
@@ -1027,25 +985,6 @@ mod tests {
     #[should_panic(expected = "invalid graph spec regular(n=5,d=3)")]
     fn generate_panics_on_an_invalid_spec() {
         GraphSpec::Regular { n: 5, d: 3 }.generate(&mut ChaCha8Rng::seed_from_u64(0));
-    }
-
-    #[test]
-    fn legacy_process_variant_names_map_onto_distinct_registry_keys() {
-        let variants = [
-            "TwoState",
-            "ThreeState",
-            "ThreeColor",
-            "Luby",
-            "RandomPriority",
-            "Greedy",
-            "SequentialSelfStab",
-        ];
-        let keys: std::collections::HashSet<_> = variants
-            .iter()
-            .map(|v| legacy_process_registry_key(v).expect(v))
-            .collect();
-        assert_eq!(keys.len(), variants.len());
-        assert_eq!(legacy_process_registry_key("BeepingTwoState"), None);
     }
 
     #[test]
@@ -1361,27 +1300,22 @@ mod tests {
     }
 
     #[test]
-    fn legacy_process_field_resolves_and_explicit_algorithm_wins() {
-        let legacy = r#"{
-            "name": "legacy", "graph": {"Complete": {"n": 8}},
-            "process": "ThreeColor", "init": "Random",
+    fn spec_naming_no_algorithm_is_rejected() {
+        let named = r#"{
+            "name": "named", "graph": {"Complete": {"n": 8}},
+            "algorithm": "three-color", "init": "Random",
             "execution": "Sequential", "trials": 1, "max_rounds": 10,
             "base_seed": 0, "record_trace": false
         }"#;
-        let spec: ExperimentSpec = serde_json::from_str(legacy).unwrap();
+        let spec: ExperimentSpec = serde_json::from_str(named).unwrap();
         assert_eq!(spec.algorithm, "three-color");
 
-        let both = legacy.replace(
-            "\"process\": \"ThreeColor\",",
-            "\"process\": \"ThreeColor\", \"algorithm\": \"beeping-two-state\",",
-        );
-        let spec: ExperimentSpec = serde_json::from_str(&both).unwrap();
-        assert_eq!(spec.algorithm, "beeping-two-state");
-
-        let unknown = legacy.replace("ThreeColor", "FourState");
-        assert!(serde_json::from_str::<ExperimentSpec>(&unknown).is_err());
-
-        let neither = legacy.replace("\"process\": \"ThreeColor\",", "");
-        assert!(serde_json::from_str::<ExperimentSpec>(&neither).is_err());
+        for unnamed in [
+            named.replace("\"algorithm\": \"three-color\",", ""),
+            named.replace("\"three-color\"", "null"),
+        ] {
+            let err = serde_json::from_str::<ExperimentSpec>(&unnamed).unwrap_err();
+            assert!(err.to_string().contains("names no algorithm"), "{err}");
+        }
     }
 }

@@ -24,7 +24,7 @@ pub struct SweepRow {
     pub process_label: String,
     /// Execution mode of the engine processes (`sequential` / `parallel`).
     pub execution_mode: String,
-    /// Worker threads per round (1 in sequential mode).
+    /// Worker threads per round (1 in `sequential` mode).
     pub threads: usize,
     /// Fraction of trials that stabilized within the budget.
     pub stabilized_fraction: f64,

@@ -86,7 +86,7 @@ fn beeping_model_runs_under_partial_activation_schedulers() {
 #[test]
 fn comm_models_match_their_direct_processes_through_the_harness() {
     // Trace equivalence at harness level: the beeping adapter and the
-    // direct 2-state process consume identical RNG streams, so whole
+    // direct 2-state process draw identical counter coins, so whole
     // TrialResults coincide (modulo the spec stored inside the result).
     let direct = run_experiment(
         &ExperimentSpec::builder()

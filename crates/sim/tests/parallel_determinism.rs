@@ -1,7 +1,8 @@
-//! Property test of the parallel engine's **determinism contract**: under
-//! counter-based randomness (`ExecutionMode::Parallel`), the number of
-//! worker threads must not influence any observable result. For all three
-//! processes, `Parallel{1}`, `Parallel{2}`, and `Parallel{8}` are driven
+//! Property test of the engine's **determinism contract**: under
+//! counter-based randomness, the execution mode and the number of worker
+//! threads must not influence any observable result. For all three
+//! processes, `Sequential`, `Parallel{1}`, `Parallel{2}`, and `Parallel{8}`
+//! are driven
 //! through **arbitrary interleavings of rounds, fault injections**
 //! (`corrupt_fraction`, the out-of-band mutation path of experiment E11)
 //! **and churn bursts** (`generate_burst` + `apply_mutation`, the live
@@ -29,11 +30,16 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-/// Thread counts the contract is checked over. 1 is the inline path, 2 and
-/// 8 exercise real cross-thread interleavings (8 deliberately exceeds the
-/// host's core count on small CI machines — oversubscription must not
-/// change results either).
-const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
+/// Modes the contract is checked over. `Sequential` and `Parallel{1}` are
+/// the inline path, 2 and 8 threads exercise real cross-thread
+/// interleavings (8 deliberately exceeds the host's core count on small CI
+/// machines — oversubscription must not change results either).
+const MODES: [ExecutionMode; 4] = [
+    ExecutionMode::Sequential,
+    ExecutionMode::Parallel { threads: 1 },
+    ExecutionMode::Parallel { threads: 2 },
+    ExecutionMode::Parallel { threads: 8 },
+];
 
 fn graph_for(seed: u64, n: usize, p_edge: f64) -> Graph {
     let mut r = ChaCha8Rng::seed_from_u64(seed);
@@ -49,22 +55,22 @@ struct Snapshot<S> {
     random_bits: u64,
 }
 
-/// Drives one replica per thread count through the same op sequence and
-/// asserts the snapshots stay identical after every op.
+/// Drives one replica per mode through the same op sequence and asserts the
+/// snapshots stay identical after every op.
 ///
-/// `make` builds a fresh process for a given thread count; `snapshot`
+/// `make` builds a fresh process for a given mode; `snapshot`
 /// observes it; `apply` performs op `(kind, fraction)` with the replica's
 /// own (identically seeded) fault RNG.
 fn check_thread_invariance<P, S: std::fmt::Debug + PartialEq + Clone>(
     ops: &[(u8, f64)],
     seed: u64,
-    mut make: impl FnMut(usize) -> P,
+    mut make: impl FnMut(ExecutionMode) -> P,
     snapshot: impl Fn(&P) -> Snapshot<S>,
     mut apply: impl FnMut(&mut P, (u8, f64), &mut ChaCha8Rng),
 ) -> Result<(), TestCaseError> {
-    let mut replicas: Vec<(P, ChaCha8Rng)> = THREAD_COUNTS
+    let mut replicas: Vec<(P, ChaCha8Rng)> = MODES
         .iter()
-        .map(|&threads| (make(threads), ChaCha8Rng::seed_from_u64(seed ^ 0xFA17)))
+        .map(|&mode| (make(mode), ChaCha8Rng::seed_from_u64(seed ^ 0xFA17)))
         .collect();
     for (i, &op) in ops.iter().enumerate() {
         let mut first: Option<Snapshot<S>> = None;
@@ -76,9 +82,9 @@ fn check_thread_invariance<P, S: std::fmt::Debug + PartialEq + Clone>(
                 Some(expected) => {
                     prop_assert!(
                         &snap == expected,
-                        "op {i} ({op:?}): threads {} diverged from threads {}",
-                        THREAD_COUNTS[replica_idx],
-                        THREAD_COUNTS[0],
+                        "op {i} ({op:?}): {:?} diverged from {:?}",
+                        MODES[replica_idx],
+                        MODES[0],
                     );
                 }
             }
@@ -103,10 +109,10 @@ proptest! {
         check_thread_invariance(
             &ops,
             seed,
-            |threads| {
+            |mode| {
                 let mut r = ChaCha8Rng::seed_from_u64(seed ^ 0x2A);
                 let mut p = TwoStateProcess::with_init(&g, InitStrategy::Random, &mut r);
-                p.set_execution(ExecutionMode::Parallel { threads }, seed);
+                p.set_execution(mode, seed);
                 p
             },
             |p| Snapshot {
@@ -143,10 +149,10 @@ proptest! {
         check_thread_invariance(
             &ops,
             seed,
-            |threads| {
+            |mode| {
                 let mut r = ChaCha8Rng::seed_from_u64(seed ^ 0x3B);
                 let mut p = ThreeStateProcess::with_init(&g, InitStrategy::Random, &mut r);
-                p.set_execution(ExecutionMode::Parallel { threads }, seed);
+                p.set_execution(mode, seed);
                 p
             },
             |p| Snapshot {
@@ -183,11 +189,11 @@ proptest! {
         check_thread_invariance(
             &ops,
             seed,
-            |threads| {
+            |mode| {
                 let mut r = ChaCha8Rng::seed_from_u64(seed ^ 0x4C);
                 let mut p =
                     ThreeColorProcess::with_randomized_switch(&g, InitStrategy::Random, &mut r);
-                p.set_execution(ExecutionMode::Parallel { threads }, seed);
+                p.set_execution(mode, seed);
                 p
             },
             |p| Snapshot {
@@ -223,10 +229,10 @@ proptest! {
 fn large_instance_runs_identically_across_thread_counts() {
     let g = graph_for(99, 20_000, 6.0 / 20_000.0);
     let mut finals = Vec::new();
-    for &threads in &THREAD_COUNTS {
+    for mode in MODES {
         let mut r = ChaCha8Rng::seed_from_u64(1234);
         let mut p = TwoStateProcess::with_init(&g, InitStrategy::Random, &mut r);
-        p.set_execution(ExecutionMode::Parallel { threads }, 4321);
+        p.set_execution(mode, 4321);
         let rounds = p
             .run_to_stabilization(&mut r, 100_000)
             .expect("2-state stabilizes on sparse G(n,p)");
@@ -251,6 +257,7 @@ fn large_instance_runs_identically_across_thread_counts() {
             p.random_bits_used(),
         ));
     }
-    assert_eq!(finals[0], finals[1]);
-    assert_eq!(finals[0], finals[2]);
+    for other in &finals[1..] {
+        assert_eq!(&finals[0], other);
+    }
 }

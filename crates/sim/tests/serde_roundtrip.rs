@@ -1,9 +1,8 @@
 //! Serde round-trip coverage for the spec and result types, so experiment
 //! specifications can be stored next to `BENCH_scale.json` (and re-read by
-//! later sessions) without silent drift — including JSON written *before*
-//! the registry redesign, which lacks the `algorithm`, `scheduler`,
-//! `fault`, and `churn` fields and names its algorithm through the retired
-//! `ProcessSelector` enum's `process` field.
+//! later runs) without silent drift — including JSON that omits the
+//! optional `scheduler`, `fault`, `churn`, `byzantine` and `strategy`
+//! fields.
 
 use mis_core::init::InitStrategy;
 use mis_core::StateCounts;
@@ -94,39 +93,9 @@ fn experiment_spec_round_trips_across_all_knobs() {
 }
 
 #[test]
-fn pre_redesign_spec_json_still_deserializes_with_defaults() {
-    // A spec exactly as the pre-registry harness would have serialized it:
-    // no `algorithm`, no `scheduler`, no `fault` field.
-    let legacy_json = r#"{
-        "name": "legacy",
-        "graph": {"Gnp": {"n": 40, "p": 0.1}},
-        "process": "TwoState",
-        "init": "Random",
-        "execution": "Sequential",
-        "trials": 5,
-        "max_rounds": 1000,
-        "base_seed": 7,
-        "record_trace": false
-    }"#;
-    let spec: ExperimentSpec = serde_json::from_str(legacy_json).unwrap();
-    assert_eq!(spec.algorithm, "two-state");
-    assert_eq!(spec.scheduler, SchedulerSpec::Synchronous);
-    assert_eq!(spec.fault, None);
-    assert_eq!(spec.byzantine, None);
-    assert_eq!(spec.strategy, RoundStrategy::Auto);
-    assert_eq!(spec.algorithm_key(), "two-state");
-    assert_eq!(spec.trials, 5);
-
-    // And it is actually runnable.
-    let result = run_experiment(&spec);
-    assert!(result.all_stabilized());
-    assert!(result.all_valid());
-}
-
-#[test]
 fn registry_first_spec_json_parses_without_the_legacy_process_field() {
-    // Specs written in the redesign's primary style name only a registry
-    // key; the legacy `process` field is long retired and may be absent.
+    // A spec names its algorithm by registry key; the optional fields fall
+    // back to their defaults when absent.
     let json = r#"{
         "name": "registry-first",
         "graph": {"Complete": {"n": 16}},
@@ -140,10 +109,14 @@ fn registry_first_spec_json_parses_without_the_legacy_process_field() {
     }"#;
     let spec: ExperimentSpec = serde_json::from_str(json).unwrap();
     assert_eq!(spec.algorithm_key(), "stone-age-three-state");
+    assert_eq!(spec.scheduler, SchedulerSpec::Synchronous);
+    assert_eq!(spec.fault, None);
+    assert_eq!(spec.byzantine, None);
+    assert_eq!(spec.strategy, RoundStrategy::Auto);
     let result = run_experiment(&spec);
     assert!(result.all_stabilized() && result.all_valid());
 
-    // Without either field the spec names no algorithm: that must error.
+    // Without the field the spec names no algorithm: that must error.
     let missing_both = r#"{
         "name": "broken",
         "graph": {"Complete": {"n": 16}},
